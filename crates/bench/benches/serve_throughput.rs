@@ -1,12 +1,13 @@
 //! Streaming front-end throughput: reads pushed through a full
-//! `genasm-serve` session — admission, micro-batching, the pipeline
-//! workers, and response reordering — measured as sustained reads per
-//! second, with the server's own per-request latency histogram
-//! exported as percentiles. A second leg offers exactly twice the
-//! admission capacity against a frozen batch timer, proving overload
-//! behaviour is bounded: every offered read gets exactly one response,
-//! the overflow is shed with a structured rejection, and the shed rate
-//! lands at precisely one half.
+//! `genasm-serve` session — admission, work-conserving micro-batch
+//! claims, the pipeline workers, and response reordering — measured as
+//! sustained reads per second, with the server's own per-request
+//! latency histogram exported as percentiles. A second leg offers
+//! exactly twice the admission capacity while every pipeline worker is
+//! held inside a gate sink, proving overload behaviour is bounded:
+//! every offered read gets exactly one response, the overflow is shed
+//! with a structured rejection, and the shed rate lands at precisely
+//! one half.
 //!
 //! Writes `BENCH_serve.json` at the workspace root alongside the other
 //! artifacts. Pass `--smoke` (as `scripts/ci.sh` does) for a fast
@@ -21,11 +22,11 @@ use genasm_seq::genome::GenomeBuilder;
 use genasm_seq::profile::ErrorProfile;
 use genasm_seq::readsim::{LengthModel, ReadSimulator, SimConfig};
 use genasm_serve::{
-    CollectSink, ResponseSink, ServeConfig, Server, READS_ADMITTED_COUNTER, READS_SHED_COUNTER,
-    REQUEST_LATENCY_HISTOGRAM,
+    CollectSink, GateSink, ResponseSink, ServeConfig, Server, READS_ADMITTED_COUNTER,
+    READS_SHED_COUNTER, REQUEST_LATENCY_HISTOGRAM,
 };
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 fn smoke() -> bool {
     std::env::args().any(|a| a == "--smoke")
@@ -39,21 +40,30 @@ fn one_rate<F: FnOnce()>(reads: usize, work: F) -> f64 {
 }
 
 /// Submits every read and drains the server; the sink ends up holding
-/// exactly one response per submission (asserted by the caller).
+/// exactly one response per submission (asserted by the caller). The
+/// first `held` reads go through a closed gate, one idle pipeline
+/// worker each, so that many workers sit inside `deliver` — and every
+/// later admitted read stays pending — until all reads are offered.
 fn serve_session(
     mapper: &ReadMapper,
     workers: usize,
     config: ServeConfig,
     reads: &[Vec<u8>],
+    held: usize,
 ) -> Arc<CollectSink> {
     let mapper = mapper.clone();
     let engine = mapper.engine(workers, DcDispatch::default());
     let server = Server::start(mapper, engine, config);
     let collect = Arc::new(CollectSink::default());
     let sink: Arc<dyn ResponseSink> = collect.clone();
+    let gate = Arc::new(GateSink::new(Arc::clone(&sink)));
+    let gated: Arc<dyn ResponseSink> = gate.clone();
     for (i, read) in reads.iter().enumerate() {
-        server.submit(i as u64, format!("r{i}"), read.clone(), &sink);
+        let through = if i < held { &gated } else { &sink };
+        server.submit(i as u64, format!("r{i}"), read.clone(), through);
+        gate.wait_entered(held.min(i + 1));
     }
+    gate.open();
     server.drain();
     collect
 }
@@ -106,7 +116,6 @@ fn bench_serve_throughput(c: &mut Criterion) {
     // accumulates real queue+service times across every repetition.
     let sustained_config = ServeConfig {
         batch_reads: 32,
-        batch_wait: Duration::from_millis(2),
         max_inflight_reads: 4 * n_reads,
         pipeline_workers: 4,
         ..ServeConfig::default()
@@ -114,7 +123,7 @@ fn bench_serve_throughput(c: &mut Criterion) {
     let mut sustained_rate = f64::MIN;
     for _ in 0..reps {
         sustained_rate = sustained_rate.max(one_rate(n_reads, || {
-            let collect = serve_session(&mapper, 4, sustained_config.clone(), &reads);
+            let collect = serve_session(&mapper, 4, sustained_config.clone(), &reads, 0);
             let responses = collect.take();
             assert_eq!(responses.len(), n_reads, "one response per submission");
             assert!(
@@ -134,23 +143,23 @@ fn bench_serve_throughput(c: &mut Criterion) {
     println!("sustained: {sustained_rate:.0} reads/s through the serve front-end");
 
     // ---- Overload at 2x capacity -------------------------------------
-    // The batch timer is frozen (pending reads hold their admission
-    // slots), so offering twice `max_inflight_reads` deterministically
-    // admits the first half and sheds the second with a structured
-    // rejection; drain() then answers every admitted read. This is the
-    // bounded-overload acceptance gate in bench form.
+    // All four pipeline workers are held inside a gate sink (their
+    // reads and every pending one keep their admission slots), so
+    // offering twice `max_inflight_reads` deterministically admits the
+    // first half and sheds the second with a structured rejection; the
+    // gate then opens and drain() answers every admitted read. This is
+    // the bounded-overload acceptance gate in bench form.
     let capacity = n_reads / 2;
     let overload_telemetry = Telemetry::with_flags(true, false);
     let overload_mapper = mapper.clone().with_telemetry(overload_telemetry.clone());
     let overload_config = ServeConfig {
         batch_reads: 32,
-        batch_wait: Duration::from_secs(3_600),
         max_inflight_reads: capacity,
         pipeline_workers: 4,
         ..ServeConfig::default()
     };
     let overload_rate = one_rate(n_reads, || {
-        let collect = serve_session(&overload_mapper, 4, overload_config.clone(), &reads);
+        let collect = serve_session(&overload_mapper, 4, overload_config.clone(), &reads, 4);
         let mut responses = collect.take();
         assert_eq!(responses.len(), n_reads, "one response per offered read");
         responses.sort_by_key(|r| r.order);
@@ -194,7 +203,7 @@ fn bench_serve_throughput(c: &mut Criterion) {
     let mut group = c.benchmark_group("serve_throughput_headline");
     group.bench_function("serve_session_4w", |b| {
         b.iter(|| {
-            let collect = serve_session(&mapper, 4, sustained_config.clone(), &reads);
+            let collect = serve_session(&mapper, 4, sustained_config.clone(), &reads, 0);
             criterion::black_box(collect.take());
         });
     });

@@ -116,8 +116,7 @@ commands:
                                                              A/B the chunk-granularity
                                                              and one-window DC paths)
   serve     --ref <fa> [--listen <host:port>]
-            [--batch-reads 64] [--batch-wait-ms 20]
-            [--max-inflight-reads 1024]
+            [--batch-reads 64] [--max-inflight-reads 1024]
             [--request-deadline-ms 0] [--pipeline-workers 2]
             [--workers 0] [--kernel lockstep|chunked|scalar|gotoh]
             [--lanes 4|8|16|auto] [--shards 0]
@@ -128,12 +127,11 @@ commands:
                                                              (stdin, or line-framed TCP
                                                              with --listen), one SAM
                                                              record out per read in
-                                                             submission order. Reads
-                                                             accumulate into rolling
-                                                             micro-batches (flush on
-                                                             --batch-reads or
-                                                             --batch-wait-ms, whichever
-                                                             first) with
+                                                             submission order. An idle
+                                                             pipeline worker claims
+                                                             whatever is pending at once
+                                                             (at most --batch-reads per
+                                                             micro-batch; no timer), with
                                                              --pipeline-workers batches
                                                              in flight at once.
                                                              Admission is bounded by
@@ -319,6 +317,9 @@ fn record_parse_report(metrics: &MetricsRegistry, path: &str, report: &ParseRepo
     metrics
         .counter("map.errors.missing_header")
         .add(report.missing_header as u64);
+    metrics
+        .counter("map.errors.line_too_long")
+        .add(report.line_too_long as u64);
     metrics
         .counter("map.errors.soft_non_acgt")
         .add(report.soft_non_acgt as u64);
@@ -662,7 +663,16 @@ fn cmd_serve(args: &Args) -> Result<(), CliError> {
     let workers: usize = args.number("workers", 0).map_err(CliError::Usage)?;
     let shards: usize = args.number("shards", 0).map_err(CliError::Usage)?;
     let batch_reads: usize = args.number("batch-reads", 64).map_err(CliError::Usage)?;
-    let batch_wait_ms: u64 = args.number("batch-wait-ms", 20).map_err(CliError::Usage)?;
+    // Unknown options are ignored everywhere else; this one used to
+    // work, so a script still passing it must hear that it no longer
+    // does anything.
+    if args.get("batch-wait-ms").is_some() {
+        return Err(CliError::Usage(
+            "--batch-wait-ms was removed: the flush timer is gone, idle workers claim \
+             pending reads immediately (see docs/SERVING.md)"
+                .to_string(),
+        ));
+    }
     let max_inflight: usize = args
         .number("max-inflight-reads", 1024)
         .map_err(CliError::Usage)?;
@@ -696,7 +706,6 @@ fn cmd_serve(args: &Args) -> Result<(), CliError> {
         engine,
         ServeConfig {
             batch_reads,
-            batch_wait: Duration::from_millis(batch_wait_ms),
             max_inflight_reads: max_inflight,
             request_deadline: (deadline_ms > 0).then(|| Duration::from_millis(deadline_ms)),
             pipeline_workers,
@@ -705,8 +714,8 @@ fn cmd_serve(args: &Args) -> Result<(), CliError> {
     install_drain_handler(&DRAIN_REQUESTED);
 
     // Stdin mode parks its writer here so the in-order flush check
-    // runs after the drain (drain is what answers reads still parked
-    // in a half-full micro-batch).
+    // runs after the drain (drain is what answers reads still
+    // pending or in flight).
     let mut stdin_writer: Option<(Arc<SamStreamWriter<BufWriter<io::Stdout>>>, u64)> = None;
     let result = match args.get("listen") {
         // TCP front-end: every connection gets its own SAM stream;
@@ -737,9 +746,8 @@ fn cmd_serve(args: &Args) -> Result<(), CliError> {
                 &reference.id,
             ));
             let command = format!(
-                "genasm serve --batch-reads {batch_reads} --batch-wait-ms {batch_wait_ms} \
-                 --max-inflight-reads {max_inflight} --request-deadline-ms {deadline_ms} \
-                 --pipeline-workers {pipeline_workers}"
+                "genasm serve --batch-reads {batch_reads} --max-inflight-reads {max_inflight} \
+                 --request-deadline-ms {deadline_ms} --pipeline-workers {pipeline_workers}"
             );
             writer.write_raw(|out| {
                 sam::write_header_with_command(
@@ -1312,6 +1320,20 @@ mod tests {
             err.message().contains("unknown kernel") && err.message().contains("smith-waterman"),
             "kernel validation must run before file loading: {err:?}"
         );
+    }
+
+    #[test]
+    fn serve_rejects_the_removed_batch_wait_flag() {
+        let err = run(vec![
+            "serve".into(),
+            "--ref".into(),
+            "missing.fa".into(),
+            "--batch-wait-ms".into(),
+            "5".into(),
+        ])
+        .unwrap_err();
+        assert_eq!(err.exit_code(), 2);
+        assert!(err.message().contains("timer is gone"), "{err:?}");
     }
 
     #[test]

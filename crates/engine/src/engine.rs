@@ -1,5 +1,5 @@
-//! The batch engine: scoped worker pool over a chunked atomic work
-//! queue.
+//! The batch engine: a worker pool (the calling thread plus scoped
+//! threads) over a chunked atomic work queue.
 
 use crate::job::{DistanceJob, Job, JobError, KeyedDistance, KeyedResult};
 use crate::kernel::{
@@ -16,7 +16,7 @@ use std::collections::HashSet;
 use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 /// A cooperative cancellation handle, optionally carrying an absolute
@@ -217,6 +217,13 @@ pub struct Engine {
     config: EngineConfig,
     kernel: Arc<dyn Kernel>,
     telemetry: Telemetry,
+    /// Kernel scratches parked between batches. A pool worker checks
+    /// one out for the batch and parks it again at batch end, so the
+    /// several engine calls of one mapper micro-batch (distance,
+    /// traceback, verify) reuse warm arenas instead of reallocating
+    /// them. Clones share the pool (they share the kernel); a scratch
+    /// a panic touched is dropped, never parked.
+    scratch_pool: Arc<Mutex<Vec<Box<dyn KernelScratch>>>>,
 }
 
 /// Aggregate worker-pool meters one pooled batch collects besides its
@@ -417,11 +424,7 @@ impl Engine {
                 .with_dispatch(config.dispatch)
                 .with_lanes(config.lanes),
         );
-        Engine {
-            config,
-            kernel,
-            telemetry: Telemetry::default(),
-        }
+        Engine::with_kernel(config, kernel)
     }
 
     /// An engine running a custom kernel.
@@ -430,6 +433,7 @@ impl Engine {
             config,
             kernel,
             telemetry: Telemetry::default(),
+            scratch_pool: Arc::default(),
         }
     }
 
@@ -792,14 +796,47 @@ impl Engine {
         }
     }
 
+    /// Checks a kernel scratch out of the pool (a fresh one when none
+    /// is parked) and installs this engine's telemetry for trace
+    /// thread `tid`.
+    fn checkout_scratch(&self, tid: u32) -> Box<dyn KernelScratch> {
+        // Push and pop leave the pool valid at every step, so a
+        // poisoned lock is recovered rather than propagated.
+        let parked = self
+            .scratch_pool
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .pop();
+        let mut scratch = parked.unwrap_or_else(|| self.kernel.new_scratch());
+        if let Some(ls) = scratch.as_any_mut().downcast_mut::<LockstepScratch>() {
+            ls.obs = WorkerObs::new(&self.telemetry, tid);
+        }
+        scratch
+    }
+
+    /// Parks a scratch whose batch finished cleanly for the next
+    /// batch's worker. Dropping the worker's `WorkerObs` here is what
+    /// flushes its spans into the tracer.
+    fn park_scratch(&self, mut scratch: Box<dyn KernelScratch>) {
+        if let Some(ls) = scratch.as_any_mut().downcast_mut::<LockstepScratch>() {
+            ls.obs = None;
+        }
+        self.scratch_pool
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .push(scratch);
+    }
+
     /// The shared worker-pool driver behind
     /// [`align_batch_with_stats`](Self::align_batch_with_stats) and
-    /// [`distance_batch_keyed`](Self::distance_batch_keyed): scoped
-    /// workers claim contiguous index chunks from a lock-free atomic
-    /// cursor and run `work` on each claimed range, producing one
-    /// result per index; per-worker kernel scratch, busy/latency
-    /// accounting and the lane-row / traceback counters are collected
-    /// identically for every batch flavor.
+    /// [`distance_batch_keyed`](Self::distance_batch_keyed): workers
+    /// claim contiguous index chunks from a lock-free atomic cursor
+    /// and run `work` on each claimed range, producing one result per
+    /// index; per-worker kernel scratch, busy/latency accounting and
+    /// the lane-row / traceback counters are collected identically for
+    /// every batch flavor. Worker 0 is the calling thread; the other
+    /// `workers - 1` are scoped threads, so a batch with one effective
+    /// worker never spawns.
     ///
     /// Fault containment happens here, once, for every batch flavor:
     ///
@@ -875,226 +912,211 @@ impl Engine {
             deadline_hit: false,
         };
         let cancelled = AtomicBool::new(false);
+        let kernel = &*self.kernel;
+        let cancel = self.config.cancel.as_ref();
+        let telemetry = &self.telemetry;
 
+        // One pool worker's whole batch, claim loop to drain.
+        let run_worker = |worker: usize| {
+            // Trace tid 0 is the coordinator (the mapper);
+            // engine workers claim 1 + worker_index.
+            let tid = 1 + worker as u32;
+            let make_scratch = || self.checkout_scratch(tid);
+            let mut scratch = make_scratch();
+            // Queue-access markers; the per-chunk work shows
+            // up as the scheduler's dc/tb/drain spans.
+            let mut claims = telemetry
+                .tracer
+                .is_enabled()
+                .then(|| telemetry.tracer.buffer(tid));
+            let mut produced: Vec<(usize, R)> = Vec::new();
+            let mut busy = Duration::ZERO;
+            let mut max_job = Duration::ZERO;
+            // The worker's persistent session, when the
+            // batch runs one, and the ranges it has
+            // claimed — the quarantine set should a
+            // session pass panic with jobs in flight.
+            let mut session = open_session();
+            let mut claimed: Vec<Range<usize>> = Vec::new();
+            // Solo-reruns every claimed index that has not
+            // produced a result, on a fresh scratch — the
+            // session panic path (in-flight lanes may span
+            // several claims, so the whole claim history
+            // is swept; completed indices are skipped).
+            let quarantine = |ranges: &mut Vec<Range<usize>>,
+                              scratch: &mut Box<dyn KernelScratch>,
+                              produced: &mut Vec<(usize, R)>,
+                              busy: &mut Duration,
+                              max_job: &mut Duration| {
+                let already: HashSet<usize> = produced.iter().map(|(i, _)| *i).collect();
+                for range in std::mem::take(ranges) {
+                    for index in range {
+                        if already.contains(&index) {
+                            continue;
+                        }
+                        let t0 = Instant::now();
+                        let retried = catch_unwind(AssertUnwindSafe(|| {
+                            solo(kernel, scratch.as_mut(), index)
+                        }));
+                        let took = t0.elapsed();
+                        *busy += took;
+                        *max_job = (*max_job).max(took);
+                        match retried {
+                            Ok(result) => produced.push((index, result)),
+                            Err(payload) => {
+                                *scratch = make_scratch();
+                                produced.push((index, poisoned(panic_message(payload.as_ref()))));
+                            }
+                        }
+                    }
+                }
+            };
+            loop {
+                if cancel.is_some_and(CancelToken::expired) {
+                    cancelled.store(true, Ordering::Relaxed);
+                    break;
+                }
+                if let Some(c) = claims.as_mut() {
+                    c.begin("claim");
+                }
+                let start = cursor.fetch_add(chunk, Ordering::Relaxed);
+                if let Some(c) = claims.as_mut() {
+                    c.end("claim");
+                }
+                if start >= count {
+                    break;
+                }
+                #[cfg(feature = "chaos")]
+                genasm_chaos::check(genasm_chaos::sites::ENGINE_WORKER_DELAY, start as u64);
+                let end = (start + chunk).min(count);
+                if let Some(sess) = session.as_mut() {
+                    claimed.push(start..end);
+                    let before = produced.len();
+                    let t0 = Instant::now();
+                    let outcome = catch_unwind(AssertUnwindSafe(|| {
+                        sess.run_range(scratch.as_mut(), start..end, &mut produced)
+                    }));
+                    let took = t0.elapsed();
+                    busy += took;
+                    let landed = produced.len() - before;
+                    if landed > 0 {
+                        // A session pass interleaves jobs,
+                        // so the per-result mean is the
+                        // available max_job lower bound
+                        // (exact latencies land in the
+                        // telemetry histogram).
+                        max_job = max_job.max(took / landed as u32);
+                    }
+                    if outcome.is_err() {
+                        // A panicking session pass may
+                        // strand jobs in flight from any
+                        // earlier claim: discard session
+                        // and scratch, sweep the whole
+                        // claim history one job at a time,
+                        // and start a fresh session for
+                        // the claims still to come.
+                        drop(session.take());
+                        scratch = make_scratch();
+                        quarantine(
+                            &mut claimed,
+                            &mut scratch,
+                            &mut produced,
+                            &mut busy,
+                            &mut max_job,
+                        );
+                        session = open_session();
+                    }
+                    continue;
+                }
+                let before = produced.len();
+                let outcome = catch_unwind(AssertUnwindSafe(|| {
+                    work(
+                        kernel,
+                        scratch.as_mut(),
+                        start..end,
+                        &mut produced,
+                        &mut busy,
+                        &mut max_job,
+                    )
+                }));
+                if outcome.is_err() {
+                    // The chunk panicked: its scratch may
+                    // hold torn state, so it is discarded
+                    // and the chunk re-runs one job at a
+                    // time on a fresh one — isolating the
+                    // job(s) that actually panic while
+                    // their chunk-mates complete.
+                    scratch = make_scratch();
+                    let already: Vec<usize> = produced[before..].iter().map(|(i, _)| *i).collect();
+                    for index in start..end {
+                        if already.contains(&index) {
+                            continue;
+                        }
+                        let t0 = Instant::now();
+                        let retried = catch_unwind(AssertUnwindSafe(|| {
+                            solo(kernel, scratch.as_mut(), index)
+                        }));
+                        let took = t0.elapsed();
+                        busy += took;
+                        max_job = max_job.max(took);
+                        match retried {
+                            Ok(result) => produced.push((index, result)),
+                            Err(payload) => {
+                                scratch = make_scratch();
+                                produced.push((index, poisoned(panic_message(payload.as_ref()))));
+                            }
+                        }
+                    }
+                }
+            }
+            // Batch end (or cancellation): drain the
+            // session's in-flight lanes. Claimed chunks
+            // always run to completion, so the drain runs
+            // even on the cancel path.
+            if let Some(mut sess) = session.take() {
+                let before = produced.len();
+                let t0 = Instant::now();
+                let outcome = catch_unwind(AssertUnwindSafe(|| {
+                    sess.finish(scratch.as_mut(), &mut produced)
+                }));
+                let took = t0.elapsed();
+                busy += took;
+                let landed = produced.len() - before;
+                if landed > 0 {
+                    max_job = max_job.max(took / landed as u32);
+                }
+                if outcome.is_err() {
+                    scratch = make_scratch();
+                    quarantine(
+                        &mut claimed,
+                        &mut scratch,
+                        &mut produced,
+                        &mut busy,
+                        &mut max_job,
+                    );
+                }
+            }
+            let lane_rows = kernel.take_lane_rows(scratch.as_mut());
+            let tb = kernel.take_tb_counters(scratch.as_mut());
+            self.park_scratch(scratch);
+            (produced, busy, max_job, lane_rows, tb)
+        };
+
+        // Worker 0 is the calling thread, so a batch with one effective
+        // worker spawns nothing (a scoped spawn + join costs more than
+        // a small batch's kernel time); only the other `workers - 1`
+        // run on scoped threads.
         std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|worker| {
-                    let cursor = &cursor;
-                    let cancelled = &cancelled;
-                    let kernel = &*self.kernel;
-                    let work = &work;
-                    let solo = &solo;
-                    let poisoned = &poisoned;
-                    let open_session = &open_session;
-                    let cancel = self.config.cancel.as_ref();
-                    let telemetry = &self.telemetry;
-                    scope.spawn(move || {
-                        // Trace tid 0 is the coordinator (the mapper);
-                        // engine workers claim 1 + worker_index.
-                        let tid = 1 + worker as u32;
-                        let make_scratch = || {
-                            let mut scratch = kernel.new_scratch();
-                            if let Some(ls) = scratch.as_any_mut().downcast_mut::<LockstepScratch>()
-                            {
-                                ls.obs = WorkerObs::new(telemetry, tid);
-                            }
-                            scratch
-                        };
-                        let mut scratch = make_scratch();
-                        // Queue-access markers; the per-chunk work shows
-                        // up as the scheduler's dc/tb/drain spans.
-                        let mut claims = telemetry
-                            .tracer
-                            .is_enabled()
-                            .then(|| telemetry.tracer.buffer(tid));
-                        let mut produced: Vec<(usize, R)> = Vec::new();
-                        let mut busy = Duration::ZERO;
-                        let mut max_job = Duration::ZERO;
-                        // The worker's persistent session, when the
-                        // batch runs one, and the ranges it has
-                        // claimed — the quarantine set should a
-                        // session pass panic with jobs in flight.
-                        let mut session = open_session();
-                        let mut claimed: Vec<Range<usize>> = Vec::new();
-                        // Solo-reruns every claimed index that has not
-                        // produced a result, on a fresh scratch — the
-                        // session panic path (in-flight lanes may span
-                        // several claims, so the whole claim history
-                        // is swept; completed indices are skipped).
-                        let quarantine =
-                            |ranges: &mut Vec<Range<usize>>,
-                             scratch: &mut Box<dyn KernelScratch>,
-                             produced: &mut Vec<(usize, R)>,
-                             busy: &mut Duration,
-                             max_job: &mut Duration| {
-                                let already: HashSet<usize> =
-                                    produced.iter().map(|(i, _)| *i).collect();
-                                for range in std::mem::take(ranges) {
-                                    for index in range {
-                                        if already.contains(&index) {
-                                            continue;
-                                        }
-                                        let t0 = Instant::now();
-                                        let retried = catch_unwind(AssertUnwindSafe(|| {
-                                            solo(kernel, scratch.as_mut(), index)
-                                        }));
-                                        let took = t0.elapsed();
-                                        *busy += took;
-                                        *max_job = (*max_job).max(took);
-                                        match retried {
-                                            Ok(result) => produced.push((index, result)),
-                                            Err(payload) => {
-                                                *scratch = make_scratch();
-                                                produced.push((
-                                                    index,
-                                                    poisoned(panic_message(payload.as_ref())),
-                                                ));
-                                            }
-                                        }
-                                    }
-                                }
-                            };
-                        loop {
-                            if cancel.is_some_and(CancelToken::expired) {
-                                cancelled.store(true, Ordering::Relaxed);
-                                break;
-                            }
-                            if let Some(c) = claims.as_mut() {
-                                c.begin("claim");
-                            }
-                            let start = cursor.fetch_add(chunk, Ordering::Relaxed);
-                            if let Some(c) = claims.as_mut() {
-                                c.end("claim");
-                            }
-                            if start >= count {
-                                break;
-                            }
-                            #[cfg(feature = "chaos")]
-                            genasm_chaos::check(
-                                genasm_chaos::sites::ENGINE_WORKER_DELAY,
-                                start as u64,
-                            );
-                            let end = (start + chunk).min(count);
-                            if let Some(sess) = session.as_mut() {
-                                claimed.push(start..end);
-                                let before = produced.len();
-                                let t0 = Instant::now();
-                                let outcome = catch_unwind(AssertUnwindSafe(|| {
-                                    sess.run_range(scratch.as_mut(), start..end, &mut produced)
-                                }));
-                                let took = t0.elapsed();
-                                busy += took;
-                                let landed = produced.len() - before;
-                                if landed > 0 {
-                                    // A session pass interleaves jobs,
-                                    // so the per-result mean is the
-                                    // available max_job lower bound
-                                    // (exact latencies land in the
-                                    // telemetry histogram).
-                                    max_job = max_job.max(took / landed as u32);
-                                }
-                                if outcome.is_err() {
-                                    // A panicking session pass may
-                                    // strand jobs in flight from any
-                                    // earlier claim: discard session
-                                    // and scratch, sweep the whole
-                                    // claim history one job at a time,
-                                    // and start a fresh session for
-                                    // the claims still to come.
-                                    drop(session.take());
-                                    scratch = make_scratch();
-                                    quarantine(
-                                        &mut claimed,
-                                        &mut scratch,
-                                        &mut produced,
-                                        &mut busy,
-                                        &mut max_job,
-                                    );
-                                    session = open_session();
-                                }
-                                continue;
-                            }
-                            let before = produced.len();
-                            let outcome = catch_unwind(AssertUnwindSafe(|| {
-                                work(
-                                    kernel,
-                                    scratch.as_mut(),
-                                    start..end,
-                                    &mut produced,
-                                    &mut busy,
-                                    &mut max_job,
-                                )
-                            }));
-                            if outcome.is_err() {
-                                // The chunk panicked: its scratch may
-                                // hold torn state, so it is discarded
-                                // and the chunk re-runs one job at a
-                                // time on a fresh one — isolating the
-                                // job(s) that actually panic while
-                                // their chunk-mates complete.
-                                scratch = make_scratch();
-                                let already: Vec<usize> =
-                                    produced[before..].iter().map(|(i, _)| *i).collect();
-                                for index in start..end {
-                                    if already.contains(&index) {
-                                        continue;
-                                    }
-                                    let t0 = Instant::now();
-                                    let retried = catch_unwind(AssertUnwindSafe(|| {
-                                        solo(kernel, scratch.as_mut(), index)
-                                    }));
-                                    let took = t0.elapsed();
-                                    busy += took;
-                                    max_job = max_job.max(took);
-                                    match retried {
-                                        Ok(result) => produced.push((index, result)),
-                                        Err(payload) => {
-                                            scratch = make_scratch();
-                                            produced.push((
-                                                index,
-                                                poisoned(panic_message(payload.as_ref())),
-                                            ));
-                                        }
-                                    }
-                                }
-                            }
-                        }
-                        // Batch end (or cancellation): drain the
-                        // session's in-flight lanes. Claimed chunks
-                        // always run to completion, so the drain runs
-                        // even on the cancel path.
-                        if let Some(mut sess) = session.take() {
-                            let before = produced.len();
-                            let t0 = Instant::now();
-                            let outcome = catch_unwind(AssertUnwindSafe(|| {
-                                sess.finish(scratch.as_mut(), &mut produced)
-                            }));
-                            let took = t0.elapsed();
-                            busy += took;
-                            let landed = produced.len() - before;
-                            if landed > 0 {
-                                max_job = max_job.max(took / landed as u32);
-                            }
-                            if outcome.is_err() {
-                                scratch = make_scratch();
-                                quarantine(
-                                    &mut claimed,
-                                    &mut scratch,
-                                    &mut produced,
-                                    &mut busy,
-                                    &mut max_job,
-                                );
-                            }
-                        }
-                        let lane_rows = kernel.take_lane_rows(scratch.as_mut());
-                        let tb = kernel.take_tb_counters(scratch.as_mut());
-                        (produced, busy, max_job, lane_rows, tb)
-                    })
-                })
+            let run_worker = &run_worker;
+            let spawned: Vec<_> = (1..workers)
+                .map(|worker| scope.spawn(move || run_worker(worker)))
                 .collect();
-            for handle in handles {
-                let (produced, worker_busy, worker_max, (issued, useful), (windows, rows)) =
-                    handle.join().expect("engine worker panicked");
+            let outputs = std::iter::once(run_worker(0)).chain(
+                spawned
+                    .into_iter()
+                    .map(|handle| handle.join().expect("engine worker panicked")),
+            );
+            for (produced, worker_busy, worker_max, (issued, useful), (windows, rows)) in outputs {
                 meters.busy += worker_busy;
                 meters.max_job = meters.max_job.max(worker_max);
                 meters.dc_rows.0 += issued;
@@ -1713,28 +1735,117 @@ mod tests {
     #[test]
     fn pre_cancelled_batch_returns_all_cancelled_without_running() {
         let jobs = jobs();
-        let token = CancelToken::new();
-        token.cancel();
-        let engine = Engine::new(EngineConfig::default().with_workers(2).with_cancel(token));
-        let output = engine.align_batch_with_stats(&jobs);
-        assert_eq!(output.results.len(), jobs.len());
-        assert!(output
-            .results
-            .iter()
-            .all(|r| r == &Err(JobError::Cancelled)));
-        assert!(output.stats.deadline_hit);
-        assert_eq!(output.stats.jobs_cancelled, jobs.len() as u64);
-        assert_eq!(output.stats.failures, jobs.len());
-        // Distance batches honor the same token.
         let djobs: Vec<DistanceJob> = jobs
             .iter()
             .map(|j| DistanceJob::new(&j.text, &j.pattern, j.pattern.len()))
             .collect();
-        let (distances, stats) = engine.distance_batch_keyed(&djobs);
-        assert!(distances
-            .iter()
-            .all(|k| k.result == Err(JobError::Cancelled)));
-        assert!(stats.deadline_hit);
+        for workers in [1usize, 2] {
+            let token = CancelToken::new();
+            token.cancel();
+            let engine = Engine::new(
+                EngineConfig::default()
+                    .with_workers(workers)
+                    .with_cancel(token),
+            );
+            let output = engine.align_batch_with_stats(&jobs);
+            assert_eq!(output.results.len(), jobs.len());
+            assert!(output
+                .results
+                .iter()
+                .all(|r| r == &Err(JobError::Cancelled)));
+            assert!(output.stats.deadline_hit);
+            assert_eq!(output.stats.jobs_cancelled, jobs.len() as u64);
+            assert_eq!(output.stats.failures, jobs.len());
+            // Distance batches honor the same token.
+            let (distances, stats) = engine.distance_batch_keyed(&djobs);
+            assert!(distances
+                .iter()
+                .all(|k| k.result == Err(JobError::Cancelled)));
+            assert!(stats.deadline_hit);
+        }
+    }
+
+    /// Records which thread opened each scratch and ran each job. The
+    /// first `rendezvous` jobs wait for one another inside `align`
+    /// (with a timeout, so a pool short of threads fails the test's
+    /// assertions instead of hanging it): every pool worker is then
+    /// provably a distinct live thread holding its own scratch.
+    struct RecordingKernel {
+        inner: GenAsmKernel,
+        rendezvous: usize,
+        arrived: Mutex<usize>,
+        all_arrived: std::sync::Condvar,
+        scratch_threads: Mutex<Vec<std::thread::ThreadId>>,
+        align_threads: Mutex<Vec<std::thread::ThreadId>>,
+    }
+
+    impl Kernel for RecordingKernel {
+        fn name(&self) -> &'static str {
+            "recording"
+        }
+        fn new_scratch(&self) -> Box<dyn KernelScratch> {
+            self.scratch_threads
+                .lock()
+                .unwrap()
+                .push(std::thread::current().id());
+            self.inner.new_scratch()
+        }
+        fn align(
+            &self,
+            text: &[u8],
+            pattern: &[u8],
+            scratch: &mut dyn KernelScratch,
+        ) -> Result<Alignment, AlignError> {
+            self.align_threads
+                .lock()
+                .unwrap()
+                .push(std::thread::current().id());
+            {
+                let mut arrived = self.arrived.lock().unwrap();
+                if *arrived < self.rendezvous {
+                    *arrived += 1;
+                    self.all_arrived.notify_all();
+                    let wait = Duration::from_secs(10);
+                    let pending = |n: &mut usize| *n < self.rendezvous;
+                    drop(
+                        self.all_arrived
+                            .wait_timeout_while(arrived, wait, pending)
+                            .unwrap(),
+                    );
+                }
+            }
+            self.inner.align(text, pattern, scratch)
+        }
+    }
+
+    #[test]
+    fn worker_zero_is_the_caller_and_only_the_rest_are_spawned() {
+        let jobs = jobs();
+        let me = std::thread::current().id();
+        for workers in [1usize, 3] {
+            let kernel = Arc::new(RecordingKernel {
+                inner: GenAsmKernel::new(GenAsmConfig::default()),
+                rendezvous: workers,
+                arrived: Mutex::default(),
+                all_arrived: std::sync::Condvar::new(),
+                scratch_threads: Mutex::default(),
+                align_threads: Mutex::default(),
+            });
+            let engine = Engine::with_kernel(
+                EngineConfig::default().with_workers(workers).with_chunk(1),
+                kernel.clone(),
+            );
+            engine.align_batch(&jobs);
+            let ran: HashSet<_> = kernel.align_threads.lock().unwrap().drain(..).collect();
+            assert!(ran.contains(&me), "worker 0 runs on the caller's thread");
+            assert_eq!(ran.len(), workers, "and only workers - 1 are spawned");
+            let opened = kernel.scratch_threads.lock().unwrap().clone();
+            assert_eq!(opened.len(), workers, "one scratch per worker");
+            assert!(opened.iter().all(|t| ran.contains(t)));
+            // The next batch finds every scratch parked and warm.
+            engine.align_batch(&jobs);
+            assert_eq!(kernel.scratch_threads.lock().unwrap().len(), workers);
+        }
     }
 
     #[test]

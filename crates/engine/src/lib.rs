@@ -7,9 +7,11 @@
 //! cores:
 //!
 //! * [`Engine::align_batch`] fans a slice of [`Job`]s (reference
-//!   region, read) out over a scoped worker pool. Workers claim work
-//!   in chunks from a lock-free atomic cursor, so there is no queue
-//!   lock on the hot path.
+//!   region, read) out over a worker pool: the calling thread is
+//!   worker 0 and only the others are scoped threads, so a batch with
+//!   one effective worker spawns nothing. Workers claim work in chunks
+//!   from a lock-free atomic cursor, so there is no queue lock on the
+//!   hot path.
 //! * Within a worker, the default [`DcDispatch::Lockstep`] mode keeps
 //!   a persistent lane per SIMD slot (4, or 8 under AVX2 — see
 //!   [`LaneCount`]) and streams jobs' window walks through them: each

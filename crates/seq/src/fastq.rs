@@ -9,10 +9,19 @@
 //! is what the serving front-end and stdin-fed `map` runs consume.
 //! The two batch readers are thin collectors over the streamer, so
 //! all three share one set of parse semantics. CRLF line endings are
-//! tolerated everywhere.
+//! tolerated everywhere, and no line is ever buffered past
+//! [`MAX_LINE_BYTES`], so an unterminated line on stdin or a socket
+//! cannot grow the process without limit.
 
 use crate::parse::{has_non_acgt, FastxError, ParseError, ParseErrorKind, ParseMode, ParseReport};
 use std::io::{self, BufRead, BufReader, Read, Write};
+
+/// The longest line [`FastqStreamer`] will buffer, newline excluded.
+/// A longer line is cut here, the rest of it is discarded as it is
+/// read, and its record fails with [`ParseErrorKind::LineTooLong`].
+/// Four MiB clears the longest real reads (multi-megabase nanopore
+/// outliers included) with room to spare.
+pub const MAX_LINE_BYTES: usize = 4 << 20;
 
 /// One FASTQ record.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -167,8 +176,12 @@ pub struct FastqStreamer<R: BufRead> {
     /// (1-based, for error reporting).
     line_number: usize,
     /// One line of lookahead (already trimmed), used by blank-line
-    /// skipping and lenient resync.
-    peeked: Option<String>,
+    /// skipping and lenient resync, and whether it was cut at
+    /// [`MAX_LINE_BYTES`].
+    peeked: Option<(String, bool)>,
+    /// 1-based number of an over-long line consumed since the current
+    /// record was last judged; fails that record.
+    oversized: Option<usize>,
     done: bool,
 }
 
@@ -182,6 +195,7 @@ impl<R: BufRead> FastqStreamer<R> {
             record_index: 0,
             line_number: 0,
             peeked: None,
+            oversized: None,
             done: false,
         }
     }
@@ -198,32 +212,45 @@ impl<R: BufRead> FastqStreamer<R> {
     }
 
     /// Ensures one line of lookahead (trimmed of trailing whitespace,
-    /// so CRLF is tolerated), unless at end of input.
+    /// so CRLF is tolerated), unless at end of input. At most
+    /// [`MAX_LINE_BYTES`] of a line are kept; the excess is consumed
+    /// straight out of the reader's buffer.
     fn fill_peek(&mut self) -> io::Result<()> {
-        if self.peeked.is_none() {
-            let mut buf = String::new();
-            if self.reader.read_line(&mut buf)? > 0 {
-                buf.truncate(buf.trim_end().len());
-                self.peeked = Some(buf);
-            }
+        if self.peeked.is_some() {
+            return Ok(());
         }
+        let mut buf = Vec::new();
+        let cap = MAX_LINE_BYTES as u64 + 1; // the line and its newline
+        if self.reader.by_ref().take(cap).read_until(b'\n', &mut buf)? == 0 {
+            return Ok(());
+        }
+        let cut = buf.len() as u64 == cap && buf.last() != Some(&b'\n');
+        if cut {
+            buf.truncate(MAX_LINE_BYTES);
+            self.reader.skip_until(b'\n')?;
+        }
+        let mut line = String::from_utf8(buf)
+            .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "line is not valid UTF-8"))?;
+        line.truncate(line.trim_end().len());
+        self.peeked = Some((line, cut));
         Ok(())
     }
 
     fn peek(&mut self) -> io::Result<Option<&str>> {
         self.fill_peek()?;
-        Ok(self.peeked.as_deref())
+        Ok(self.peeked.as_ref().map(|(line, _)| line.as_str()))
     }
 
     fn next_line(&mut self) -> io::Result<Option<String>> {
         self.fill_peek()?;
-        match self.peeked.take() {
-            Some(line) => {
-                self.line_number += 1;
-                Ok(Some(line))
-            }
-            None => Ok(None),
+        let Some((line, cut)) = self.peeked.take() else {
+            return Ok(None);
+        };
+        self.line_number += 1;
+        if cut {
+            self.oversized = Some(self.line_number);
         }
+        Ok(Some(line))
     }
 
     /// Lenient resync: drop a malformed record's remaining lines up
@@ -235,6 +262,9 @@ impl<R: BufRead> FastqStreamer<R> {
         {
             self.next_line()?;
         }
+        // Over-long lines swallowed here belonged to the record being
+        // skipped, which is already reported.
+        self.oversized = None;
         Ok(())
     }
 
@@ -281,40 +311,37 @@ impl<R: BufRead> FastqStreamer<R> {
             let Some(header) = self.next_line()? else {
                 return Ok(None);
             };
-            let Some(id) = header.strip_prefix('@') else {
+            let parsed = match header.strip_prefix('@') {
                 // Out-of-place data where a header should be: one
                 // error per contiguous run of such lines.
-                let error = ParseError {
-                    record: self.record_index,
-                    line: header_line,
-                    kind: ParseErrorKind::MissingHeader,
-                };
-                self.record_index += 1;
-                match self.mode {
-                    ParseMode::Strict => return Err(FastxError::Parse(error)),
-                    ParseMode::Lenient => {
-                        self.report.count_skip(error);
-                        self.resync()?;
-                        continue;
-                    }
+                None => Err((header_line, ParseErrorKind::MissingHeader)),
+                Some(id) => {
+                    // A deterministic truncate-input failpoint: the
+                    // armed record reads as if the input ended
+                    // mid-record.
+                    #[cfg(feature = "chaos")]
+                    let chaos_truncated = matches!(
+                        genasm_chaos::fault_at(
+                            genasm_chaos::sites::FASTQ_TRUNCATE,
+                            self.record_index as u64
+                        ),
+                        Some(genasm_chaos::Fault::Truncate)
+                    );
+                    #[cfg(not(feature = "chaos"))]
+                    let chaos_truncated = false;
+                    self.read_body(id, header_line, chaos_truncated)?
                 }
             };
-            let id = id.to_string();
-
-            // A deterministic truncate-input failpoint: the armed
-            // record reads as if the input ended mid-record.
-            #[cfg(feature = "chaos")]
-            let chaos_truncated = matches!(
-                genasm_chaos::fault_at(
-                    genasm_chaos::sites::FASTQ_TRUNCATE,
-                    self.record_index as u64
-                ),
-                Some(genasm_chaos::Fault::Truncate)
-            );
-            #[cfg(not(feature = "chaos"))]
-            let chaos_truncated = false;
-
-            match self.read_body(&id, header_line, chaos_truncated)? {
+            // An over-long line outranks whatever its cut-off remains
+            // happened to parse as.
+            let parsed = match self.oversized.take() {
+                Some(line) => {
+                    let limit = MAX_LINE_BYTES;
+                    Err((line, ParseErrorKind::LineTooLong { limit }))
+                }
+                None => parsed,
+            };
+            match parsed {
                 Ok(record) => {
                     if has_non_acgt(&record.seq) {
                         self.report.soft_non_acgt += 1;

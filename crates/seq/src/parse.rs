@@ -51,6 +51,13 @@ pub enum ParseErrorKind {
     },
     /// The record carries no sequence bases at all.
     EmptySequence,
+    /// A FASTQ line ran past the reader's fixed cap
+    /// ([`MAX_LINE_BYTES`](crate::fastq::MAX_LINE_BYTES)) without a
+    /// newline; the rest of the line was discarded unbuffered.
+    LineTooLong {
+        /// The cap, in bytes.
+        limit: usize,
+    },
 }
 
 impl std::fmt::Display for ParseErrorKind {
@@ -64,6 +71,9 @@ impl std::fmt::Display for ParseErrorKind {
                 "quality length {qual} differs from sequence length {seq}"
             ),
             ParseErrorKind::EmptySequence => write!(f, "empty sequence"),
+            ParseErrorKind::LineTooLong { limit } => {
+                write!(f, "line longer than the {limit}-byte limit")
+            }
         }
     }
 }
@@ -152,6 +162,8 @@ pub struct ParseReport {
     /// [`ParseErrorKind::MissingHeader`] skips (one per contiguous run
     /// of out-of-place lines).
     pub missing_header: usize,
+    /// [`ParseErrorKind::LineTooLong`] skips.
+    pub line_too_long: usize,
     /// Records **kept** whose sequence contains bases outside
     /// `ACGTacgt` — a soft per-read signal, not a skip.
     pub soft_non_acgt: usize,
@@ -169,6 +181,7 @@ impl ParseReport {
             ParseErrorKind::BadSeparator => self.bad_separator += 1,
             ParseErrorKind::LengthMismatch { .. } => self.length_mismatch += 1,
             ParseErrorKind::EmptySequence => self.empty_sequence += 1,
+            ParseErrorKind::LineTooLong { .. } => self.line_too_long += 1,
         }
         self.errors.push(error);
     }

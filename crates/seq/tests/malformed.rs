@@ -138,3 +138,32 @@ fn lenient_recovery_is_not_greedy() {
     assert_eq!(parse.report.bad_separator, 1);
     assert_eq!(parse.report.skipped, 2);
 }
+
+#[test]
+fn over_long_lines_are_rejected_not_buffered() {
+    use genasm_seq::fastq::MAX_LINE_BYTES;
+    let limit = MAX_LINE_BYTES;
+    let at_cap = "A".repeat(limit);
+    let quals = "I".repeat(limit);
+    // A line of exactly the cap is fine...
+    let fits = format!("@a\n{at_cap}\n+\n{quals}\n");
+    let parse = read_fastq_with(fits.as_bytes(), ParseMode::Strict).unwrap();
+    assert_eq!(parse.records[0].seq.len(), limit);
+    // ...one byte more is not, wherever in the record it falls (here:
+    // the sequence line, then an unterminated header at end of input).
+    let input = format!("@a\nACGT\n+\nIIII\n@b\n{at_cap}A\n+\n{quals}I\n@c\nGG\n+\nII\n@{at_cap}");
+    match read_fastq_with(input.as_bytes(), ParseMode::Strict).unwrap_err() {
+        FastxError::Parse(e) => {
+            assert_eq!(e.kind, ParseErrorKind::LineTooLong { limit });
+            assert_eq!((e.record, e.line), (1, 8), "the last over-long line read");
+        }
+        FastxError::Io(e) => panic!("expected parse error, got io error {e}"),
+    }
+    // Lenient: both damaged records are skipped, the good ones on
+    // either side survive.
+    let parse = read_fastq_with(input.as_bytes(), ParseMode::Lenient).unwrap();
+    let ids: Vec<&str> = parse.records.iter().map(|r| r.id.as_str()).collect();
+    assert_eq!(ids, ["a", "c"]);
+    assert_eq!(parse.report.line_too_long, 2);
+    assert_eq!(parse.report.skipped, 2);
+}

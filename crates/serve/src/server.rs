@@ -1,13 +1,15 @@
-//! The serving core: bounded admission, rolling micro-batches, a
-//! persistent pipeline-worker pool, and graceful drain.
+//! The serving core: bounded admission, work-conserving micro-batches
+//! on a persistent pipeline-worker pool, and graceful drain.
 //!
-//! Reads are [`submit`](Server::submit)ted one at a time and
-//! accumulate in a pending queue. A batcher thread cuts the queue
-//! into micro-batches — flushed when `batch_reads` accumulate or the
-//! oldest pending read has waited `batch_wait`, whichever comes first
-//! — and hands them to a pool of pipeline workers, so multiple
-//! micro-batches are in flight through the staged pipeline at once
-//! (the serving analogue of the engine's in-flight window pool).
+//! Reads are [`submit`](Server::submit)ted one at a time into a
+//! pending queue. Each pipeline worker, the moment it is idle, claims
+//! whatever is pending — up to `batch_reads` — as one micro-batch and
+//! drives it through the staged pipeline. Nothing waits on a clock: a
+//! read arriving at an idle server is claimed at once (a batch of
+//! one), and reads accumulate into larger micro-batches only while
+//! every worker is busy, so batch size follows load by itself (the
+//! serving analogue of the engine's in-flight window pool, where a
+//! free slot takes the next window immediately).
 //!
 //! Admission is bounded: at most `max_inflight_reads` admitted reads
 //! may be unresponded at any instant (queued *or* batched), so memory
@@ -27,10 +29,25 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// End-to-end latency of served (admitted) reads, admission to
-/// response delivery, in microseconds.
+/// End-to-end latency of served (admitted) reads, admission to the
+/// sink's `deliver` returning, in microseconds. The three stage
+/// histograms below sum to it, request by request.
 pub const REQUEST_LATENCY_HISTOGRAM: &str = "serve.request_latency_us";
-/// Reads admitted and waiting in the pending queue (pre-batching).
+/// Admission until a pipeline worker claimed the read, in microseconds.
+pub const QUEUE_WAIT_HISTOGRAM: &str = "serve.queue_wait_us";
+/// Claim until the micro-batch's outcomes were ready, in microseconds.
+pub const EXECUTE_HISTOGRAM: &str = "serve.execute_us";
+/// Outcomes ready until the read's sink returned from `deliver`
+/// (includes earlier batch-mates' deliveries), in microseconds.
+pub const DELIVER_HISTOGRAM: &str = "serve.deliver_us";
+/// The request latency and its three stages, in recording order.
+const LATENCY_HISTOGRAMS: [&str; 4] = [
+    REQUEST_LATENCY_HISTOGRAM,
+    QUEUE_WAIT_HISTOGRAM,
+    EXECUTE_HISTOGRAM,
+    DELIVER_HISTOGRAM,
+];
+/// Reads admitted and not yet claimed by a pipeline worker.
 pub const QUEUE_DEPTH_GAUGE: &str = "serve.queue_depth";
 /// Micro-batches currently inside the pipeline-worker pool.
 pub const BATCHES_INFLIGHT_GAUGE: &str = "serve.batches_inflight";
@@ -51,10 +68,10 @@ pub const BATCHES_COUNTER: &str = "serve.batches";
 /// Serving knobs. All bounds are per-server, not per-connection.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
-    /// Flush a micro-batch once this many reads are pending.
+    /// Most reads one worker claims as a single micro-batch. A batch
+    /// runs under its earliest member's deadline, so the cap bounds
+    /// how much work one deadline is exposed to.
     pub batch_reads: usize,
-    /// ... or once the oldest pending read has waited this long.
-    pub batch_wait: Duration,
     /// Maximum admitted-but-unresponded reads; beyond it, submissions
     /// shed. Bounds serving memory under overload.
     pub max_inflight_reads: usize,
@@ -72,7 +89,6 @@ impl Default for ServeConfig {
     fn default() -> Self {
         ServeConfig {
             batch_reads: 64,
-            batch_wait: Duration::from_millis(20),
             max_inflight_reads: 1024,
             request_deadline: None,
             pipeline_workers: 2,
@@ -99,16 +115,11 @@ struct Request {
 }
 
 struct MicroBatch {
-    /// Monotonic flush sequence — the `serve.batch.delay` chaos key.
+    /// Monotonic claim sequence — the `serve.batch.delay` chaos key.
     #[cfg_attr(not(feature = "chaos"), allow(dead_code))]
     seq: u64,
     requests: Vec<Request>,
-}
-
-struct BatchQueue {
-    queue: VecDeque<MicroBatch>,
-    /// Set by the batcher on exit; workers finish the queue then stop.
-    closed: bool,
+    claimed_at: Instant,
 }
 
 struct Shared {
@@ -122,8 +133,6 @@ struct Shared {
     draining: AtomicBool,
     pending: Mutex<VecDeque<Request>>,
     pending_cv: Condvar,
-    batches: Mutex<BatchQueue>,
-    batch_cv: Condvar,
     batch_seq: AtomicU64,
     batches_inflight: AtomicU64,
 }
@@ -139,17 +148,16 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 ///
 /// Dropping the server drains it (see [`drain`](Server::drain)):
 /// admission stops, every already-admitted read is answered, and the
-/// batcher and worker threads are joined. No admitted read is ever
-/// lost to shutdown.
+/// worker threads are joined. No admitted read is ever lost to
+/// shutdown.
 pub struct Server {
     shared: Arc<Shared>,
-    batcher: Option<JoinHandle<()>>,
     workers: Vec<JoinHandle<()>>,
 }
 
 impl Server {
-    /// Starts the batcher and pipeline-worker threads. `engine` is the
-    /// template each worker clones per micro-batch (its worker count
+    /// Starts the pipeline-worker threads. `engine` is the template
+    /// each worker clones per micro-batch (its worker count
     /// governs parallelism *within* a batch; `config.pipeline_workers`
     /// governs how many batches run at once). Telemetry is taken from
     /// the mapper; serve-level metrics are pre-registered so they
@@ -168,7 +176,9 @@ impl Server {
         }
         metrics.gauge(QUEUE_DEPTH_GAUGE).set(0);
         metrics.gauge(BATCHES_INFLIGHT_GAUGE).set(0);
-        let _ = metrics.histogram(REQUEST_LATENCY_HISTOGRAM);
+        for name in LATENCY_HISTOGRAMS {
+            let _ = metrics.histogram(name);
+        }
 
         let shared = Arc::new(Shared {
             config: ServeConfig {
@@ -184,29 +194,16 @@ impl Server {
             draining: AtomicBool::new(false),
             pending: Mutex::new(VecDeque::new()),
             pending_cv: Condvar::new(),
-            batches: Mutex::new(BatchQueue {
-                queue: VecDeque::new(),
-                closed: false,
-            }),
-            batch_cv: Condvar::new(),
             batch_seq: AtomicU64::new(0),
             batches_inflight: AtomicU64::new(0),
         });
-        let batcher = {
-            let shared = Arc::clone(&shared);
-            std::thread::spawn(move || batcher_loop(&shared))
-        };
         let workers = (0..shared.config.pipeline_workers)
             .map(|_| {
                 let shared = Arc::clone(&shared);
                 std::thread::spawn(move || worker_loop(&shared))
             })
             .collect();
-        Server {
-            shared,
-            batcher: Some(batcher),
-            workers,
-        }
+        Server { shared, workers }
     }
 
     /// Offers one read. `order` is the caller's per-sink submission
@@ -245,12 +242,13 @@ impl Server {
             deadline: shared.config.request_deadline.map(|d| now + d),
             sink: Arc::clone(sink),
         };
-        let depth = {
+        {
+            // The gauge is set under the lock so submit and claim can
+            // never publish their depths out of order.
             let mut pending = lock(&shared.pending);
             pending.push_back(request);
-            pending.len()
-        };
-        metrics.gauge(QUEUE_DEPTH_GAUGE).set(depth as u64);
+            metrics.gauge(QUEUE_DEPTH_GAUGE).set(pending.len() as u64);
+        }
         shared.pending_cv.notify_one();
         Admission::Admitted
     }
@@ -276,21 +274,22 @@ impl Server {
     }
 
     /// Graceful shutdown: stops admitting (subsequent submissions
-    /// shed), flushes the pending queue as final micro-batches,
-    /// answers every admitted read, and joins all serving threads.
+    /// shed), lets the workers claim the pending queue dry, answers
+    /// every admitted read, and joins all serving threads.
     /// Also what `Drop` runs, so a server can simply go out of scope.
     pub fn drain(mut self) {
         self.finish();
     }
 
     fn finish(&mut self) {
-        self.shared.draining.store(true, Ordering::Release);
-        self.shared.pending_cv.notify_all();
-        if let Some(batcher) = self.batcher.take() {
-            let _ = batcher.join();
+        // Raised under the pending lock: a worker that just found the
+        // queue empty is either still holding the lock (and sees the
+        // flag on its next check) or already waiting (and is woken).
+        {
+            let _pending = lock(&self.shared.pending);
+            self.shared.draining.store(true, Ordering::Release);
         }
-        // The batcher closed the batch queue on its way out.
-        self.shared.batch_cv.notify_all();
+        self.shared.pending_cv.notify_all();
         for worker in self.workers.drain(..) {
             let _ = worker.join();
         }
@@ -315,79 +314,30 @@ fn try_admit(shared: &Shared) -> bool {
         .is_ok()
 }
 
-/// Cuts the pending queue into micro-batches: flush on size, on the
-/// oldest read's wait time, or unconditionally while draining. Exits
-/// (closing the batch queue) once draining *and* the queue is empty.
-fn batcher_loop(shared: &Shared) {
-    loop {
-        let flushed: Vec<Request> = {
-            let mut pending = lock(&shared.pending);
-            loop {
-                let draining = shared.draining.load(Ordering::Acquire);
-                if pending.is_empty() {
-                    if draining {
-                        drop(pending);
-                        lock(&shared.batches).closed = true;
-                        shared.batch_cv.notify_all();
-                        return;
-                    }
-                    pending = shared
-                        .pending_cv
-                        .wait(pending)
-                        .unwrap_or_else(|e| e.into_inner());
-                    continue;
-                }
-                if draining || pending.len() >= shared.config.batch_reads {
-                    break;
-                }
-                let oldest = pending
-                    .front()
-                    .expect("non-empty queue has a front")
-                    .admitted_at
-                    .elapsed();
-                if oldest >= shared.config.batch_wait {
-                    break;
-                }
-                let (guard, _) = shared
-                    .pending_cv
-                    .wait_timeout(pending, shared.config.batch_wait - oldest)
-                    .unwrap_or_else(|e| e.into_inner());
-                pending = guard;
-            }
-            let take = pending.len().min(shared.config.batch_reads);
-            let flushed = pending.drain(..take).collect();
-            shared
-                .telemetry
-                .metrics
-                .gauge(QUEUE_DEPTH_GAUGE)
-                .set(pending.len() as u64);
-            flushed
-        };
-        let seq = shared.batch_seq.fetch_add(1, Ordering::Relaxed);
-        lock(&shared.batches).queue.push_back(MicroBatch {
-            seq,
-            requests: flushed,
-        });
-        shared.batch_cv.notify_one();
-    }
-}
-
-/// Claims micro-batches until the queue is closed *and* empty.
+/// Claims `min(pending, batch_reads)` reads the moment any are
+/// pending, runs them as one micro-batch, and repeats; exits once
+/// draining *and* the queue is empty.
 fn worker_loop(shared: &Shared) {
     loop {
         let batch = {
-            let mut batches = lock(&shared.batches);
-            loop {
-                if let Some(batch) = batches.queue.pop_front() {
-                    break batch;
-                }
-                if batches.closed {
+            let mut pending = lock(&shared.pending);
+            while pending.is_empty() {
+                if shared.draining.load(Ordering::Acquire) {
                     return;
                 }
-                batches = shared
-                    .batch_cv
-                    .wait(batches)
+                pending = shared
+                    .pending_cv
+                    .wait(pending)
                     .unwrap_or_else(|e| e.into_inner());
+            }
+            let take = pending.len().min(shared.config.batch_reads);
+            let requests = pending.drain(..take).collect();
+            let depth = pending.len() as u64;
+            shared.telemetry.metrics.gauge(QUEUE_DEPTH_GAUGE).set(depth);
+            MicroBatch {
+                seq: shared.batch_seq.fetch_add(1, Ordering::Relaxed),
+                requests,
+                claimed_at: Instant::now(),
             }
         };
         process_batch(shared, batch);
@@ -439,6 +389,9 @@ fn process_batch(shared: &Shared, batch: MicroBatch) {
         }
     };
 
+    let ready_at = Instant::now();
+    let [latency, queue_wait, execute, deliver] =
+        LATENCY_HISTOGRAMS.map(|name| metrics.histogram(name));
     for (request, outcome) in batch.requests.into_iter().zip(outcomes) {
         match &outcome {
             ReadOutcome::Incomplete { .. } => {
@@ -449,9 +402,6 @@ fn process_batch(shared: &Shared, batch: MicroBatch) {
             }
             ReadOutcome::Mapped(_) | ReadOutcome::Unmapped => {}
         }
-        metrics
-            .histogram(REQUEST_LATENCY_HISTOGRAM)
-            .record_duration(request.admitted_at.elapsed());
         let response = Response {
             order: request.order,
             name: request.name,
@@ -462,6 +412,13 @@ fn process_batch(shared: &Shared, batch: MicroBatch) {
         // is surfaced to the sink's owner via missing delivery counts.
         let delivery = catch_unwind(AssertUnwindSafe(|| request.sink.deliver(response)));
         drop(delivery);
+        // Recorded once the sink has returned, so reorder and write
+        // time are on the server's own clock.
+        let delivered_at = Instant::now();
+        queue_wait.record_duration(batch.claimed_at - request.admitted_at);
+        execute.record_duration(ready_at - batch.claimed_at);
+        deliver.record_duration(delivered_at - ready_at);
+        latency.record_duration(delivered_at - request.admitted_at);
         shared.inflight.fetch_sub(1, Ordering::AcqRel);
     }
     metrics.counter(BATCHES_COUNTER).incr();

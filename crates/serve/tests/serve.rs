@@ -1,7 +1,8 @@
-//! Serving-layer behavior, end to end over real threads: micro-batch
-//! flush triggers, bounded admission with structured shedding,
-//! per-request deadlines, exactly-one-response accounting, graceful
-//! drain, response reordering, and the TCP front-end.
+//! Serving-layer behavior, end to end over real threads:
+//! work-conserving micro-batch claims, the latency split, bounded
+//! admission with structured shedding, per-request deadlines,
+//! exactly-one-response accounting, graceful drain, response
+//! reordering, and the TCP front-end.
 
 use genasm_engine::DcDispatch;
 use genasm_mapper::{MapperConfig, ReadMapper};
@@ -9,15 +10,16 @@ use genasm_obs::Telemetry;
 use genasm_seq::genome::{Genome, GenomeBuilder};
 use genasm_seq::ParseMode;
 use genasm_serve::{
-    serve_listener, Admission, CollectSink, Response, ResponseKind, ResponseSink, SamStreamWriter,
-    ServeConfig, Server, BATCHES_COUNTER, READS_ADMITTED_COUNTER, READS_DEADLINE_DROPPED_COUNTER,
+    serve_listener, Admission, CollectSink, GateSink, Response, ResponseKind, ResponseSink,
+    SamStreamWriter, ServeConfig, Server, BATCHES_COUNTER, DELIVER_HISTOGRAM, EXECUTE_HISTOGRAM,
+    QUEUE_WAIT_HISTOGRAM, READS_ADMITTED_COUNTER, READS_DEADLINE_DROPPED_COUNTER,
     READS_SHED_COUNTER, REQUEST_LATENCY_HISTOGRAM,
 };
 use std::io::{BufReader, Read, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
 use std::sync::atomic::AtomicBool;
 use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 const RNAME: &str = "chr_synth";
 
@@ -48,6 +50,14 @@ fn collect_sink() -> (Arc<CollectSink>, Arc<dyn ResponseSink>) {
     (collect, sink)
 }
 
+/// A closed gate in front of `inner`: the worker that delivers through
+/// it is held until `open()`.
+fn gate_sink(inner: &Arc<dyn ResponseSink>) -> (Arc<GateSink>, Arc<dyn ResponseSink>) {
+    let gate = Arc::new(GateSink::new(Arc::clone(inner)));
+    let sink: Arc<dyn ResponseSink> = gate.clone();
+    (gate, sink)
+}
+
 /// Every order number 0..n appears exactly once — the
 /// exactly-one-response invariant.
 fn assert_one_response_each(responses: &[Response], n: u64) {
@@ -58,71 +68,119 @@ fn assert_one_response_each(responses: &[Response], n: u64) {
 }
 
 #[test]
-fn flush_by_count_serves_every_read() {
+fn an_idle_server_answers_a_single_read_at_once() {
     let telemetry = Telemetry::enabled();
     let (server, reads) = server_with(
         ServeConfig {
-            batch_reads: 4,
-            batch_wait: Duration::from_secs(10),
+            // One read can never fill this cap, and nothing follows it:
+            // were anything in the serve path waiting on a count or a
+            // clock, the answer would never come before the drain.
+            batch_reads: 10_000,
             ..ServeConfig::default()
         },
         telemetry.clone(),
     );
-    let (collect, sink) = collect_sink();
-    for (i, read) in reads.iter().take(8).enumerate() {
-        let verdict = server.submit(i as u64, format!("q{i}"), read.clone(), &sink);
-        assert_eq!(verdict, Admission::Admitted);
-    }
-    // Two full batches of 4: both flush on count, long before the
-    // 10s timer — responses arrive without any drain.
-    let started = Instant::now();
-    while collect.len() < 8 {
-        assert!(
-            started.elapsed() < Duration::from_secs(30),
-            "count-triggered flush never happened"
-        );
-        std::thread::sleep(Duration::from_millis(5));
-    }
+    let (collect, inner) = collect_sink();
+    let (gate, sink) = gate_sink(&inner);
+    gate.open();
+    let verdict = server.submit(0, "q0", reads[0].clone(), &sink);
+    assert_eq!(verdict, Admission::Admitted);
+    gate.wait_entered(1); // delivered, with the server still running
     server.drain();
     let responses = collect.take();
-    assert_one_response_each(&responses, 8);
-    assert!(responses.iter().all(|r| !r.is_degraded()));
+    assert_one_response_each(&responses, 1);
+    assert!(!responses[0].is_degraded());
     let snapshot = telemetry.metrics.snapshot();
-    assert_eq!(snapshot.counter(READS_ADMITTED_COUNTER), Some(8));
+    assert_eq!(snapshot.counter(READS_ADMITTED_COUNTER), Some(1));
     assert_eq!(snapshot.counter(READS_SHED_COUNTER), Some(0));
-    assert!(snapshot.counter(BATCHES_COUNTER) >= Some(2));
-    let latency = snapshot
-        .histogram(REQUEST_LATENCY_HISTOGRAM)
-        .expect("latency histogram registered");
-    assert_eq!(latency.count, 8);
+    assert_eq!(snapshot.counter(BATCHES_COUNTER), Some(1));
 }
 
 #[test]
-fn flush_by_timer_serves_a_partial_batch() {
+fn reads_arriving_while_the_worker_is_busy_coalesce_into_one_batch() {
+    let telemetry = Telemetry::enabled();
     let (server, reads) = server_with(
         ServeConfig {
-            batch_reads: 10_000,
-            batch_wait: Duration::from_millis(25),
+            pipeline_workers: 1,
             ..ServeConfig::default()
         },
-        Telemetry::off(),
+        telemetry.clone(),
     );
-    let (collect, sink) = collect_sink();
-    for (i, read) in reads.iter().take(3).enumerate() {
+    let (collect, plain) = collect_sink();
+    let (gate, gated) = gate_sink(&plain);
+    // The idle worker claims read 0 alone and is then held inside its
+    // delivery...
+    server.submit(0, "q0", reads[0].clone(), &gated);
+    gate.wait_entered(1);
+    // ...so these five can only queue up behind it.
+    let late = 5usize;
+    for (i, read) in reads.iter().enumerate().skip(1).take(late) {
+        let verdict = server.submit(i as u64, format!("q{i}"), read.clone(), &plain);
+        assert_eq!(verdict, Admission::Admitted);
+    }
+    assert_eq!(server.inflight(), 1 + late);
+    assert_eq!(collect.len(), 0);
+    gate.open();
+    server.drain();
+    let responses = collect.take();
+    assert_one_response_each(&responses, (1 + late) as u64);
+    assert!(responses.iter().all(|r| !r.is_degraded()));
+    // One batch of 1, then one batch of all five: batch size followed
+    // the load with no knob involved.
+    let snapshot = telemetry.metrics.snapshot();
+    assert_eq!(snapshot.counter(BATCHES_COUNTER), Some(2));
+}
+
+#[test]
+fn latency_stages_sum_to_the_request_latency() {
+    let telemetry = Telemetry::enabled();
+    let (server, reads) = server_with(
+        ServeConfig {
+            pipeline_workers: 1,
+            ..ServeConfig::default()
+        },
+        telemetry.clone(),
+    );
+    let (_collect, sink) = collect_sink();
+    // A lone request first, so the sum is checked request by request...
+    server.submit(0, "q0", reads[0].clone(), &sink);
+    let stage_names = [QUEUE_WAIT_HISTOGRAM, EXECUTE_HISTOGRAM, DELIVER_HISTOGRAM];
+    let sums = |expect_count: u64| {
+        let snapshot = telemetry.metrics.snapshot();
+        let hist = |name: &str| {
+            let h = snapshot.histogram(name).expect("pre-registered").clone();
+            assert_eq!(h.count, expect_count, "{name}");
+            h.sum
+        };
+        let stages: u64 = stage_names.iter().map(|&name| hist(name)).sum();
+        (stages, hist(REQUEST_LATENCY_HISTOGRAM))
+    };
+    // A read leaves `inflight` only after its histograms are recorded.
+    while server.inflight() > 0 {
+        std::thread::yield_now();
+    }
+    let (stages, latency) = sums(1);
+    // Each stage truncates to whole microseconds on its own.
+    assert!(
+        stages <= latency && latency <= stages + 3,
+        "{stages} vs {latency}"
+    );
+    let bucket = |v: u64| 64 - v.leading_zeros();
+    assert!(
+        bucket(latency) - bucket(stages) <= 1,
+        "within one log2 bucket"
+    );
+    // ...then a burst, so it is checked in aggregate with real queueing.
+    for (i, read) in reads.iter().enumerate().skip(1) {
         server.submit(i as u64, format!("q{i}"), read.clone(), &sink);
     }
-    // 3 reads can never hit the 10k count trigger; only the timer can
-    // flush them.
-    let started = Instant::now();
-    while collect.len() < 3 {
-        assert!(
-            started.elapsed() < Duration::from_secs(30),
-            "timer-triggered flush never happened"
-        );
-        std::thread::sleep(Duration::from_millis(5));
-    }
     server.drain();
-    assert_one_response_each(&collect.take(), 3);
+    let n = reads.len() as u64;
+    let (stages, latency) = sums(n);
+    assert!(
+        stages <= latency && latency <= stages + 3 * n,
+        "{stages} vs {latency}"
+    );
 }
 
 #[test]
@@ -131,23 +189,28 @@ fn overload_at_twice_capacity_sheds_with_structured_rejections() {
     let capacity = 8usize;
     let (server, reads) = server_with(
         ServeConfig {
-            batch_reads: 10_000,
-            // Nothing flushes until drain: admitted reads stay
-            // pending, so the admission ledger is deterministic.
-            batch_wait: Duration::from_secs(1_000),
             max_inflight_reads: capacity,
             pipeline_workers: 1,
             ..ServeConfig::default()
         },
         telemetry.clone(),
     );
-    let (collect, sink) = collect_sink();
+    let (collect, plain) = collect_sink();
+    let (gate, gated) = gate_sink(&plain);
+    // Read 0 holds the only worker inside its delivery (and keeps its
+    // admission slot), so every later admitted read stays pending and
+    // the admission ledger is deterministic.
     let offered = capacity * 2;
     let verdicts: Vec<Admission> = reads
         .iter()
         .take(offered)
         .enumerate()
-        .map(|(i, read)| server.submit(i as u64, format!("q{i}"), read.clone(), &sink))
+        .map(|(i, read)| {
+            let sink = if i == 0 { &gated } else { &plain };
+            let verdict = server.submit(i as u64, format!("q{i}"), read.clone(), sink);
+            gate.wait_entered(1);
+            verdict
+        })
         .collect();
     // Exactly the first `capacity` fit; the second half sheds, each
     // with its rejection delivered before submit returned.
@@ -158,6 +221,7 @@ fn overload_at_twice_capacity_sheds_with_structured_rejections() {
     assert_eq!(collect.len(), capacity);
     assert_eq!(server.inflight(), capacity);
 
+    gate.open();
     server.drain();
     let responses = collect.take();
     assert_one_response_each(&responses, offered as u64);
@@ -183,7 +247,6 @@ fn expired_deadlines_tag_partials_and_count() {
     let (server, reads) = server_with(
         ServeConfig {
             batch_reads: 4,
-            batch_wait: Duration::from_millis(5),
             // Already expired at admission: every read must come back
             // Incomplete, tagged, and counted — never lost.
             request_deadline: Some(Duration::ZERO),
@@ -213,18 +276,23 @@ fn drain_answers_every_admitted_read() {
     let (server, reads) = server_with(
         ServeConfig {
             batch_reads: 5,
-            batch_wait: Duration::from_secs(1_000),
+            pipeline_workers: 1,
             ..ServeConfig::default()
         },
         Telemetry::off(),
     );
-    let (collect, sink) = collect_sink();
+    let (collect, plain) = collect_sink();
+    let (gate, gated) = gate_sink(&plain);
     for (i, read) in reads.iter().enumerate() {
-        let verdict = server.submit(i as u64, format!("q{i}"), read.clone(), &sink);
+        let sink = if i == 0 { &gated } else { &plain };
+        let verdict = server.submit(i as u64, format!("q{i}"), read.clone(), sink);
         assert_eq!(verdict, Admission::Admitted);
+        gate.wait_entered(1);
     }
-    // Most reads are still pending (32 reads, batches of 5, frozen
-    // timer): drain must flush and answer all of them.
+    // All but read 0 are still pending behind the held worker (31
+    // reads, batches of 5): drain must claim and answer all of them.
+    assert_eq!(collect.len(), 0);
+    gate.open();
     server.drain();
     let responses = collect.take();
     assert_one_response_each(&responses, reads.len() as u64);
@@ -281,7 +349,6 @@ fn tcp_round_trip_returns_ordered_sam_per_connection() {
         engine,
         ServeConfig {
             batch_reads: 3,
-            batch_wait: Duration::from_millis(5),
             ..ServeConfig::default()
         },
     );

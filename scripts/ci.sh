@@ -161,19 +161,27 @@ echo "==> genasm serve smoke (stdin FASTQ in, ordered SAM out, serve.* metrics)"
 target/release/genasm simulate --genome-size 20000 --count 16 --length 100 \
     --seed 12 --out-prefix "$tracedir/s" 2>/dev/null
 target/release/genasm serve --ref "$tracedir/s_ref.fa" \
-    --batch-reads 4 --batch-wait-ms 5 --metrics json \
+    --batch-reads 4 --metrics json \
     < "$tracedir/s_reads.fq" > "$tracedir/s.sam" 2> "$tracedir/s_metrics.json"
 records=$(grep -cv '^@' "$tracedir/s.sam" || true)
 [[ "$records" -eq 16 ]] \
     || { echo "serve answered $records/16 reads" >&2; exit 1; }
 for field in serve.reads serve.reads_shed serve.reads_deadline_dropped \
              serve.batches serve.queue_depth serve.batches_inflight \
-             serve.request_latency_us; do
+             serve.request_latency_us serve.queue_wait_us serve.execute_us \
+             serve.deliver_us; do
     grep -q "\"$field" "$tracedir/s_metrics.json" \
         || { echo "serve --metrics json: missing \"$field\"" >&2; exit 1; }
 done
 grep -q '"serve.reads": 16' "$tracedir/s_metrics.json" \
     || { echo "serve --metrics json: admitted-read count wrong" >&2; exit 1; }
+# The flush timer is gone; a script still passing its flag must be told
+# (exit 2), not silently ignored like an unknown option.
+rc=0
+target/release/genasm serve --ref "$tracedir/s_ref.fa" --batch-wait-ms 5 \
+    < /dev/null > /dev/null 2> "$tracedir/s_removed_flag.txt" || rc=$?
+[[ "$rc" -eq 2 ]] && grep -q 'timer is gone' "$tracedir/s_removed_flag.txt" \
+    || { echo "serve --batch-wait-ms: want exit 2 naming the removed timer, got $rc" >&2; exit 1; }
 
 echo "==> cargo bench --bench dc_multi -- --smoke"
 cargo bench -p genasm-bench --bench dc_multi -- --smoke

@@ -96,7 +96,6 @@ fn serve_run(genome: &Genome, reads: &[Vec<u8>]) -> Vec<Response> {
         engine,
         ServeConfig {
             batch_reads: 5,
-            batch_wait: Duration::from_millis(2),
             pipeline_workers: 2,
             ..ServeConfig::default()
         },
@@ -232,7 +231,6 @@ fn dropped_connections_leave_surviving_connections_untouched() {
         engine,
         ServeConfig {
             batch_reads: 4,
-            batch_wait: Duration::from_millis(2),
             ..ServeConfig::default()
         },
     );
