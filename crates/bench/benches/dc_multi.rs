@@ -14,14 +14,11 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use genasm_bench::harness::{histogram_fields, measure_throughput, JsonReport};
 use genasm_core::alphabet::Dna;
-use genasm_core::bitap::{matches_within_many_counted, ScanMetrics};
-use genasm_core::cascade::CascadePattern;
 use genasm_core::dc::{window_dc_distance_into, window_dc_into, DcArena};
 use genasm_core::dc_multi::{
     window_dc_multi_distance_into, window_dc_multi_into, DcLaneStream, LaneLoad, MultiDcArena,
     MultiLane,
 };
-use genasm_core::dc_wide::{occurrence_distance_lanes, OccurrenceLaneJob, OccurrenceLaneScratch};
 use genasm_core::simd::{simd_level, SimdLevel};
 use genasm_engine::obs::JOB_LATENCY_HISTOGRAM;
 use genasm_engine::{DcDispatch, DistanceJob, Engine, EngineConfig, Job, LaneCount};
@@ -53,37 +50,6 @@ fn window_pairs(count: usize, seed: u64) -> Vec<(Vec<u8>, Vec<u8>)> {
             (genome.region(r.origin, end).to_vec(), r.seq)
         })
         .collect()
-}
-
-/// A batch of (reference window, read) sequence pairs.
-type SeqPairs = Vec<(Vec<u8>, Vec<u8>)>;
-
-/// Filter-shaped pairs: 150bp reads — multi-word (3-word) patterns,
-/// the mapper's candidate shape — against windows padded by the
-/// threshold, so the flat scan pays its full `(k+1) × words` row
-/// volume per candidate. Returns the pairs and the mapper's 15%
-/// threshold for that read length.
-fn filter_pairs(count: usize, seed: u64) -> (SeqPairs, usize) {
-    let read_length = 150usize;
-    let k = (read_length as f64 * 0.15).ceil() as usize;
-    let genome = GenomeBuilder::new(60_000).seed(seed).build();
-    let sim = ReadSimulator::new(SimConfig {
-        read_length,
-        count,
-        profile: ErrorProfile::illumina(),
-        seed: seed + 1,
-        both_strands: false,
-        length_model: LengthModel::Fixed,
-    });
-    let pairs = sim
-        .simulate(genome.sequence())
-        .into_iter()
-        .map(|r| {
-            let end = (r.origin + read_length + 2 * k).min(genome.len());
-            (genome.region(r.origin, end).to_vec(), r.seq)
-        })
-        .collect();
-    (pairs, k)
 }
 
 /// Engine jobs: 250bp Illumina-profile reads, the BENCH_engine.json
@@ -414,93 +380,6 @@ fn bench_dc_multi(c: &mut Criterion) {
     println!(
         "kernel occurrence hit-test fused: {fused_rate:.0} pairs/s ({fused_ops} scan ops); \
          unfused: {unfused_rate:.0} pairs/s ({unfused_ops} scan ops)"
-    );
-
-    // ---- Kernel level: flat filter scan vs occurrence lanes ----------
-    // The filter cascade's tier-1 A/B on multi-word patterns: the flat
-    // scan's scalar fallback runs every candidate to the full
-    // `(k+1) × words` row volume, while the occurrence-lane kernel
-    // deepens one level at a time and stops at the resolving distance.
-    // Row counts are deterministic, so the ratio is the regression
-    // signal; the rates are flavour.
-    let (fpairs, fk) = filter_pairs(if smoke { 256 } else { 2048 }, 0xF17E);
-    let frefs: Vec<(&[u8], &[u8])> = fpairs
-        .iter()
-        .map(|(t, p)| (t.as_slice(), p.as_slice()))
-        .collect();
-    let mut flat_metrics = ScanMetrics::default();
-    let flat_ok = matches_within_many_counted::<Dna>(&frefs, fk, &mut flat_metrics);
-    assert!(
-        flat_ok.iter().all(|r| matches!(r, Ok(true))),
-        "filter-bench reads must pass their own windows"
-    );
-    let flat_rate = best_rate(fpairs.len(), reps, || {
-        let mut m = ScanMetrics::default();
-        criterion::black_box(matches_within_many_counted::<Dna>(&frefs, fk, &mut m));
-    });
-    let patterns: Vec<CascadePattern> = fpairs
-        .iter()
-        .map(|(_, p)| CascadePattern::new(p).expect("simulated reads are clean DNA"))
-        .collect();
-    let occ_jobs: Vec<OccurrenceLaneJob<'_, Dna>> = fpairs
-        .iter()
-        .zip(&patterns)
-        .map(|((t, _), cp)| OccurrenceLaneJob {
-            text: t,
-            pattern: cp.masks(),
-            k: fk,
-        })
-        .collect();
-    let mut occ_scratch = OccurrenceLaneScratch::new();
-    let mut occ_metrics = ScanMetrics::default();
-    let occ_got = occurrence_distance_lanes::<Dna>(&occ_jobs, &mut occ_scratch, &mut occ_metrics);
-    assert!(
-        occ_got.iter().all(|r| matches!(r, Ok(Some(_)))),
-        "occurrence scan must accept the same pairs the flat scan does"
-    );
-    let occ_rate = best_rate(fpairs.len(), reps, || {
-        let mut m = ScanMetrics::default();
-        criterion::black_box(occurrence_distance_lanes::<Dna>(
-            &occ_jobs,
-            &mut occ_scratch,
-            &mut m,
-        ));
-    });
-    // Accept-path economics: every pair here passes, so the win is
-    // (k+1) levels flat vs (d_max_in_group + 1) levels deepened — about
-    // 2x at Illumina error rates, where a 150bp group's slowest lane
-    // resolves around d ≈ 10 against k = 23. The cascade's full >=3x
-    // row cut needs tier-0's cheap rejects and tier-2 bound reuse on
-    // top, which is asserted end to end by scripts/ci.sh's map A/B.
-    assert!(
-        flat_metrics.rows_issued >= 2 * occ_metrics.rows_issued,
-        "iterative deepening must cut accept-path filter rows >=2x: \
-         flat {} vs occurrence {}",
-        flat_metrics.rows_issued,
-        occ_metrics.rows_issued
-    );
-    report.field_num("filter_threshold", fk as f64);
-    for (occurrence, rate, m) in [(0.0, flat_rate, flat_metrics), (1.0, occ_rate, occ_metrics)] {
-        report.record(
-            "kernel_filter",
-            &[
-                ("occurrence", occurrence),
-                ("pairs_per_sec", rate),
-                ("rows_issued", m.rows_issued as f64),
-                ("occupancy", occupancy((m.rows_issued, m.rows_useful))),
-                (
-                    "rows_vs_flat",
-                    m.rows_issued as f64 / flat_metrics.rows_issued as f64,
-                ),
-            ],
-        );
-    }
-    println!(
-        "kernel filter flat: {flat_rate:.0} pairs/s ({} rows); \
-         occurrence lanes: {occ_rate:.0} pairs/s ({} rows, {:.2}x fewer)",
-        flat_metrics.rows_issued,
-        occ_metrics.rows_issued,
-        flat_metrics.rows_issued as f64 / occ_metrics.rows_issued as f64
     );
 
     // ---- Engine level: scalar vs chunked vs persistent, one worker ---

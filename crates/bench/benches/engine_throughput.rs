@@ -78,21 +78,6 @@ fn bench_worker_scaling(c: &mut Criterion) {
             DistanceJob::new(&job.text, &job.pattern, k)
         })
         .collect();
-    // Bound-reuse counterpart: the same batch with every distance
-    // pre-certified (as the filter cascade's tier-1 bounds are), so
-    // the phase-1 resolve is answered inline without touching the
-    // worker pool. Jobs whose scan exceeded the budget stay live.
-    let resolved_once = Engine::new(EngineConfig::default().with_workers(1))
-        .distance_batch_keyed(&distance_batch)
-        .0;
-    let prefilled_batch: Vec<DistanceJob> = distance_batch
-        .iter()
-        .zip(&resolved_once)
-        .map(|(job, kd)| match kd.result {
-            Ok(Some(d)) => DistanceJob::prefilled(d).with_key(job.key),
-            _ => job.clone(),
-        })
-        .collect();
     for workers in tracked_worker_counts() {
         let engine = Engine::new(EngineConfig::default().with_workers(workers));
         // Measured out-of-band (not inside the criterion timing loop)
@@ -110,21 +95,6 @@ fn bench_worker_scaling(c: &mut Criterion) {
             .map(|_| {
                 engine
                     .distance_batch_keyed(&distance_batch)
-                    .1
-                    .wall
-                    .as_secs_f64()
-            })
-            .fold(f64::MAX, f64::min);
-        let (prefilled_answers, prefilled_stats) = engine.distance_batch_keyed(&prefilled_batch);
-        assert_eq!(
-            prefilled_answers, resolved_once,
-            "prefilled answers must be byte-identical to the scheduled scan's"
-        );
-        let jobs_prefilled = prefilled_stats.jobs_prefilled;
-        let prefilled_secs = (0..3)
-            .map(|_| {
-                engine
-                    .distance_batch_keyed(&prefilled_batch)
                     .1
                     .wall
                     .as_secs_f64()
@@ -148,8 +118,6 @@ fn bench_worker_scaling(c: &mut Criterion) {
                 ),
                 ("tb_rows", tb_rows),
                 ("distance_secs", distance_secs),
-                ("jobs_prefilled", jobs_prefilled as f64),
-                ("distance_prefilled_secs", prefilled_secs),
             ],
         );
 

@@ -18,8 +18,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use genasm_bench::harness::{histogram_fields, JsonReport};
 use genasm_engine::{CancelToken, DcDispatch};
 use genasm_mapper::pipeline::{
-    AlignMode, FilterMode, MapperConfig, ReadMapper, ReadOutcome, StageTimings,
-    READ_LATENCY_HISTOGRAM,
+    AlignMode, MapperConfig, ReadMapper, ReadOutcome, StageTimings, READ_LATENCY_HISTOGRAM,
 };
 use genasm_obs::Telemetry;
 use genasm_seq::genome::GenomeBuilder;
@@ -38,7 +37,7 @@ fn one_rate<F: FnOnce()>(reads: usize, work: F) -> f64 {
     reads as f64 / t0.elapsed().as_secs_f64()
 }
 
-const N_CONFIGS: usize = 8;
+const N_CONFIGS: usize = 6;
 
 /// Appends one normalized `pipeline` row. Every row carries the
 /// identical field set so consumers need no per-row schema detection;
@@ -53,7 +52,6 @@ fn pipeline_row(
     lockstep: f64,
     persistent: f64,
     two_phase: f64,
-    cascade: f64,
     rate: f64,
     sequential_rate: f64,
     timings: &StageTimings,
@@ -66,7 +64,6 @@ fn pipeline_row(
             ("lockstep", lockstep),
             ("persistent", persistent),
             ("two_phase", two_phase),
-            ("cascade", cascade),
             ("reads_per_sec", rate),
             ("speedup_vs_sequential", rate / sequential_rate),
             ("seed_seconds", timings.seeding.as_secs_f64()),
@@ -87,12 +84,6 @@ fn pipeline_row(
                 "filter_occupancy",
                 timings.filter_occupancy().unwrap_or(f64::NAN),
             ),
-            ("tier0_rejects", timings.tier0_rejects as f64),
-            ("tier0_probes", timings.tier0_probes as f64),
-            ("tier1_rejects", timings.tier1_rejects as f64),
-            ("cascade_accepts", timings.cascade_accepts as f64),
-            ("cascade_fallbacks", timings.cascade_fallbacks as f64),
-            ("bound_reuse_hits", timings.bound_reuse_hits as f64),
         ],
     );
 }
@@ -138,16 +129,6 @@ fn bench_map_throughput(c: &mut Criterion) {
         },
     );
     let two_phase_mapper = ReadMapper::build(genome.sequence(), MapperConfig::default());
-    // The filter A/B oracle: identical configuration except the
-    // pre-alignment filter runs as the flat legacy scan instead of the
-    // escalating cascade.
-    let legacy_filter_mapper = ReadMapper::build(
-        genome.sequence(),
-        MapperConfig {
-            filter_mode: FilterMode::Legacy,
-            ..MapperConfig::default()
-        },
-    );
 
     let mut report = JsonReport::new();
     report.field_str("bench", "map_throughput");
@@ -184,30 +165,28 @@ fn bench_map_throughput(c: &mut Criterion) {
         mapped * 10 >= n_reads * 9,
         "bench workload must map: {mapped}/{n_reads}"
     );
-    // (workers, dispatch, two-phase?, cascade filter?)
-    let batch_configs: [(usize, DcDispatch, bool, bool); N_CONFIGS] = [
-        (1, DcDispatch::Scalar, false, true),
-        (1, DcDispatch::Chunked, false, true),
-        (1, DcDispatch::Lockstep, false, true),
-        (1, DcDispatch::Lockstep, true, true),
-        (1, DcDispatch::Lockstep, true, false),
-        (4, DcDispatch::Lockstep, false, true),
-        (4, DcDispatch::Lockstep, true, true),
-        (4, DcDispatch::Lockstep, true, false),
+    // (workers, dispatch, two-phase?)
+    let batch_configs: [(usize, DcDispatch, bool); N_CONFIGS] = [
+        (1, DcDispatch::Scalar, false),
+        (1, DcDispatch::Chunked, false),
+        (1, DcDispatch::Lockstep, false),
+        (1, DcDispatch::Lockstep, true),
+        (4, DcDispatch::Lockstep, false),
+        (4, DcDispatch::Lockstep, true),
     ];
     let runs: Vec<(&ReadMapper, genasm_engine::Engine)> = batch_configs
         .iter()
-        .map(|&(workers, dispatch, two_phase, cascade)| {
-            let mapper = match (two_phase, cascade) {
-                (true, true) => &two_phase_mapper,
-                (true, false) => &legacy_filter_mapper,
-                (false, _) => &full_mapper,
+        .map(|&(workers, dispatch, two_phase)| {
+            let mapper = if two_phase {
+                &two_phase_mapper
+            } else {
+                &full_mapper
             };
             (mapper, mapper.engine(workers, dispatch))
         })
         .collect();
     let mut identity_timings = [StageTimings::default(); N_CONFIGS];
-    for (((workers, dispatch, two_phase, cascade), (mapper, engine)), timings) in batch_configs
+    for (((workers, dispatch, two_phase), (mapper, engine)), timings) in batch_configs
         .iter()
         .zip(&runs)
         .zip(identity_timings.iter_mut())
@@ -216,19 +195,19 @@ fn bench_map_throughput(c: &mut Criterion) {
         assert_eq!(
             batch, sequential,
             "batch pipeline must be bit-identical \
-             (workers={workers}, {dispatch:?}, two_phase={two_phase}, cascade={cascade})"
+             (workers={workers}, {dispatch:?}, two_phase={two_phase})"
         );
         *timings = t;
     }
     // The headline structural win: two-phase execution issues strictly
     // fewer traceback rows than the identically-configured full path.
-    for (i, &(workers, dispatch, two_phase, _)) in batch_configs.iter().enumerate() {
+    for (i, &(workers, dispatch, two_phase)) in batch_configs.iter().enumerate() {
         if !two_phase {
             continue;
         }
         let full_slot = batch_configs
             .iter()
-            .position(|&(w, d, tp, _)| w == workers && d == dispatch && !tp)
+            .position(|&(w, d, tp)| w == workers && d == dispatch && !tp)
             .expect("every two-phase config has a full-mode counterpart");
         assert!(
             identity_timings[i].tb_rows.1 < identity_timings[full_slot].tb_rows.1,
@@ -237,50 +216,6 @@ fn bench_map_throughput(c: &mut Criterion) {
             identity_timings[full_slot].tb_rows.1
         );
     }
-    // And this PR's structural win: the cascade issues strictly fewer
-    // filter recurrence rows than the identically-configured legacy
-    // scan (row counters are deterministic, so this is a hard
-    // regression gate rather than a wall-clock heuristic), with the
-    // tier counters accounting for where candidates went. This
-    // workload is deliberately adversarial for any sound filter: its
-    // rejects are repeat paralogs diverged to just past the threshold
-    // (~16% pairwise), which no q-gram bound can refute and whose
-    // exact refutation costs the full deepening — the >=3x cut the
-    // cascade delivers on non-pathological inputs is asserted by
-    // scripts/ci.sh on a uniform-genome A/B instead.
-    for (i, &(workers, dispatch, two_phase, cascade)) in batch_configs.iter().enumerate() {
-        if cascade {
-            continue;
-        }
-        let cascade_slot = batch_configs
-            .iter()
-            .position(|&(w, d, tp, ca)| w == workers && d == dispatch && tp == two_phase && ca)
-            .expect("every legacy config has a cascade counterpart");
-        let (legacy_t, cascade_t) = (&identity_timings[i], &identity_timings[cascade_slot]);
-        assert!(
-            cascade_t.filter_rows.0 < legacy_t.filter_rows.0,
-            "cascade must cut filter rows: legacy {} vs cascade {}",
-            legacy_t.filter_rows.0,
-            cascade_t.filter_rows.0
-        );
-        assert_eq!(
-            legacy_t.candidates, cascade_t.candidates,
-            "filter modes must accept the same candidate set"
-        );
-        let routed = cascade_t.tier0_rejects
-            + cascade_t.tier1_rejects
-            + cascade_t.cascade_accepts
-            + cascade_t.cascade_fallbacks;
-        assert_eq!(
-            routed, cascade_t.candidates.0 as u64,
-            "every candidate must resolve in exactly one tier"
-        );
-        assert!(
-            cascade_t.bound_reuse_hits > 0,
-            "tier-1 bounds must reach the resolve stage"
-        );
-    }
-
     // Interleave the repetitions — one sequential pass then one pass
     // per batch configuration, `reps` times over — so slow drift in
     // the shared-CPU container's load hits every configuration alike
@@ -324,13 +259,12 @@ fn bench_map_throughput(c: &mut Criterion) {
         0.0,
         0.0,
         0.0,
-        1.0,
         sequential_rate,
         sequential_rate,
         &sequential_timings,
     );
     println!("sequential: {sequential_rate:.0} reads/s");
-    for (((workers, dispatch, two_phase, cascade), rate), timings) in
+    for (((workers, dispatch, two_phase), rate), timings) in
         batch_configs.iter().zip(batch_rates).zip(&batch_timings)
     {
         let lockstep = f64::from(u8::from(*dispatch != DcDispatch::Scalar));
@@ -342,16 +276,14 @@ fn bench_map_throughput(c: &mut Criterion) {
             lockstep,
             persistent,
             f64::from(u8::from(*two_phase)),
-            f64::from(u8::from(*cascade)),
             rate,
             sequential_rate,
             timings,
         );
         println!(
-            "batch {workers}w {dispatch:?}{}{}: {rate:.0} reads/s ({:.2}x sequential, \
+            "batch {workers}w {dispatch:?}{}: {rate:.0} reads/s ({:.2}x sequential, \
              occupancy {}, tb-rows {}, filter-rows {})",
             if *two_phase { " two-phase" } else { " full" },
-            if *cascade { "" } else { " legacy-filter" },
             rate / sequential_rate,
             match timings.lane_occupancy() {
                 Some(o) => format!("{:.1}%", o * 100.0),
@@ -419,7 +351,7 @@ fn bench_map_throughput(c: &mut Criterion) {
     report.field_num("telemetry_overhead", 1.0 - on_rate / off_rate);
     let main_slot = batch_configs
         .iter()
-        .position(|&(w, d, tp, ca)| w == 1 && d == DcDispatch::Lockstep && tp && ca)
+        .position(|&(w, d, tp)| w == 1 && d == DcDispatch::Lockstep && tp)
         .expect("the A/B configuration is one of the measured configs");
     let main_rate = batch_rates[main_slot];
     assert!(

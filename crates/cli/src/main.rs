@@ -6,8 +6,8 @@
 //!   [--workers 0] [--kernel lockstep|chunked|scalar|gotoh]
 //!   [--lanes 4|8|16|auto] [--shards 0] [--pipeline batch|sequential]` —
 //!   map reads against a reference through the engine-backed staged
-//!   batch pipeline (parallel seed + lock-step filter → multi-threaded
-//!   persistent-lane alignment), SAM on stdout and per-stage stats
+//!   batch pipeline (parallel seed → multi-threaded persistent-lane
+//!   alignment, edit budget checked after alignment), SAM on stdout and per-stage stats
 //!   (including DC lane occupancy) on stderr;
 //! * `align --ref <fasta> --query <fasta> [--k <edits>]` — search and
 //!   align each query in the reference, one summary line each;
@@ -37,7 +37,7 @@ use genasm_core::edit_distance::EditDistanceCalculator;
 use genasm_core::filter::PreAlignmentFilter;
 use genasm_engine::{CancelToken, DcDispatch, LaneCount};
 use genasm_mapper::pipeline::{
-    AlignMode, AlignerKind, FilterMode, MapperConfig, ReadMapper, ReadOutcome, StageTimings,
+    AlignMode, AlignerKind, MapperConfig, ReadMapper, ReadOutcome, StageTimings,
 };
 use genasm_mapper::sam;
 use genasm_obs::{MetricsRegistry, Telemetry};
@@ -67,13 +67,11 @@ commands:
             [--workers 0] [--kernel lockstep|chunked|scalar|gotoh]
             [--lanes 4|8|16|auto] [--shards 0]
             [--align-mode two-phase|full]
-            [--filter-mode cascade|legacy]
             [--pipeline batch|sequential]                    SAM to stdout; per-stage
                                                              stats (index/seed/filter/
                                                              distance/traceback split,
-                                                             filter reject rate, tb-rows,
-                                                             DC lane occupancy, cascade
-                                                             tier counts) on
+                                                             reject rate, tb-rows, DC
+                                                             lane occupancy) on
                                                              stderr. Default is the
                                                              engine-backed batch
                                                              pipeline: --workers threads
@@ -88,24 +86,19 @@ commands:
                                                              candidates distance-only
                                                              and tracebacks winners
                                                              only; full aligns every
-                                                             survivor (bit-identical);
-                                                             --filter-mode cascade
-                                                             (default) screens
-                                                             candidates through the
-                                                             escalating tier-0/tier-1
-                                                             cascade and reuses the
-                                                             distance bound downstream;
-                                                             legacy runs the flat
-                                                             lock-step filter scan
-                                                             (bit-identical mappings);
+                                                             candidate (bit-identical);
+                                                             the edit budget is checked
+                                                             after alignment, and only
+                                                             reads it cannot decide run
+                                                             the pre-alignment filter;
                                                              --pipeline sequential runs
                                                              the single-threaded
-                                                             reference path (identical
-                                                             mappings, for A/B runs)
+                                                             reference path (filter,
+                                                             then align every survivor;
+                                                             identical mappings)
   batch     --ref <fa> --reads <fq|fa> [--threads 0]
             [--kernel lockstep|chunked|scalar|gotoh]
             [--lanes 4|8|16|auto] [--align-mode two-phase|full]
-            [--filter-mode cascade|legacy]
             [--error-rate 0.15]
             [--sam -]                                        engine-batched mapping,
                                                              throughput report on stderr,
@@ -121,7 +114,6 @@ commands:
             [--workers 0] [--kernel lockstep|chunked|scalar|gotoh]
             [--lanes 4|8|16|auto] [--shards 0]
             [--align-mode two-phase|full]
-            [--filter-mode cascade|legacy]
             [--error-rate 0.15]                              long-running streaming
                                                              front-end: FASTQ in
                                                              (stdin, or line-framed TCP
@@ -404,18 +396,20 @@ fn parse_align_mode(args: &Args) -> Result<AlignMode, String> {
     }
 }
 
-/// Maps `--filter-mode` to the pre-alignment filter engine: the
-/// escalating cascade (default) screens candidates tier by tier and
-/// carries the distance bound into the resolve stage; `legacy` runs
-/// the flat lock-step scan as the identity oracle. Both modes produce
-/// bit-identical mappings — the flag exists for A/B runs.
-fn parse_filter_mode(args: &Args) -> Result<FilterMode, String> {
-    match args.get("filter-mode").unwrap_or("cascade") {
-        "cascade" => Ok(FilterMode::Cascade),
-        "legacy" => Ok(FilterMode::Legacy),
-        other => Err(format!(
-            "unknown filter mode {other:?} (use cascade or legacy)"
-        )),
+/// `--filter-mode` selected between two filter engines that are both
+/// gone: the batch path now checks the edit budget after alignment.
+/// Unknown options are ignored everywhere else; this one used to work,
+/// so a script still passing it must hear that it no longer does
+/// anything.
+fn reject_filter_mode(args: &Args) -> Result<(), String> {
+    match args.get("filter-mode") {
+        Some(_) => Err(
+            "--filter-mode was removed: the filter cascade is gone, the batch \
+                        pipeline checks the edit budget after alignment and filters only \
+                        the reads that check cannot decide"
+                .to_string(),
+        ),
+        None => Ok(()),
     }
 }
 
@@ -425,7 +419,7 @@ fn cmd_map(args: &Args) -> Result<(), CliError> {
     let (aligner, dispatch) = parse_kernel(args).map_err(CliError::Usage)?;
     let lanes = parse_lanes(args).map_err(CliError::Usage)?;
     let align_mode = parse_align_mode(args).map_err(CliError::Usage)?;
-    let filter_mode = parse_filter_mode(args).map_err(CliError::Usage)?;
+    reject_filter_mode(args).map_err(CliError::Usage)?;
     let pipeline = match args.get("pipeline").unwrap_or("batch") {
         p @ ("batch" | "sequential") => p,
         other => return Err(CliError::Usage(format!("unknown pipeline {other:?}"))),
@@ -452,7 +446,6 @@ fn cmd_map(args: &Args) -> Result<(), CliError> {
         aligner,
         index_shards: shards,
         align_mode,
-        filter_mode,
         ..MapperConfig::default()
     };
     let t_index = Instant::now();
@@ -505,9 +498,6 @@ fn cmd_map(args: &Args) -> Result<(), CliError> {
 
     let stdout = io::stdout();
     let mut out = BufWriter::new(stdout.lock());
-    // `--filter-mode` is deliberately absent from the @PG echo: both
-    // modes map identically, and keeping the header constant lets A/B
-    // runs compare the SAM output byte for byte.
     let command = format!(
         "genasm map --pipeline {pipeline} --kernel {} --align-mode {} --workers {workers} \
          --shards {shards} --error-rate {error_rate}",
@@ -554,7 +544,7 @@ fn cmd_batch(args: &Args) -> Result<(), CliError> {
     let (aligner, dispatch) = parse_kernel(args).map_err(CliError::Usage)?;
     let lanes = parse_lanes(args).map_err(CliError::Usage)?;
     let align_mode = parse_align_mode(args).map_err(CliError::Usage)?;
-    let filter_mode = parse_filter_mode(args).map_err(CliError::Usage)?;
+    reject_filter_mode(args).map_err(CliError::Usage)?;
     let error_rate: f64 = args.number("error-rate", 0.15).map_err(CliError::Usage)?;
     let threads: usize = args.number("threads", 0).map_err(CliError::Usage)?;
     let mode = parse_mode(args)?;
@@ -575,7 +565,6 @@ fn cmd_batch(args: &Args) -> Result<(), CliError> {
         error_fraction: error_rate,
         aligner,
         align_mode,
-        filter_mode,
         ..MapperConfig::default()
     };
     let mapper = ReadMapper::build(&reference.seq, config).with_telemetry(telemetry.clone());
@@ -658,7 +647,7 @@ fn cmd_serve(args: &Args) -> Result<(), CliError> {
     let (aligner, dispatch) = parse_kernel(args).map_err(CliError::Usage)?;
     let lanes = parse_lanes(args).map_err(CliError::Usage)?;
     let align_mode = parse_align_mode(args).map_err(CliError::Usage)?;
-    let filter_mode = parse_filter_mode(args).map_err(CliError::Usage)?;
+    reject_filter_mode(args).map_err(CliError::Usage)?;
     let error_rate: f64 = args.number("error-rate", 0.15).map_err(CliError::Usage)?;
     let workers: usize = args.number("workers", 0).map_err(CliError::Usage)?;
     let shards: usize = args.number("shards", 0).map_err(CliError::Usage)?;
@@ -694,7 +683,6 @@ fn cmd_serve(args: &Args) -> Result<(), CliError> {
         aligner,
         index_shards: shards,
         align_mode,
-        filter_mode,
         ..MapperConfig::default()
     };
     let mapper = ReadMapper::build(&reference.seq, config).with_telemetry(telemetry.clone());
@@ -1092,30 +1080,17 @@ mod tests {
             .unwrap();
         }
 
-        // Both filter engines run on both map pipelines and batch (the
-        // cascade-vs-legacy A/B of ci.sh rides on these paths).
-        for mode in ["cascade", "legacy"] {
-            for invocation in [
-                vec!["map".into(), "--filter-mode".into(), mode.into()],
-                vec![
-                    "map".into(),
-                    "--pipeline".into(),
-                    "sequential".into(),
-                    "--filter-mode".into(),
-                    mode.into(),
-                ],
-                vec!["batch".into(), "--filter-mode".into(), mode.into()],
-            ] {
-                let mut argv = invocation;
-                argv.extend([
-                    "--ref".into(),
-                    format!("{prefix}_ref.fa"),
-                    "--reads".into(),
-                    format!("{prefix}_reads.fq"),
-                ]);
-                run(argv).unwrap();
-            }
-        }
+        // The sequential reference pipeline runs end to end too.
+        run(vec![
+            "map".into(),
+            "--pipeline".into(),
+            "sequential".into(),
+            "--ref".into(),
+            format!("{prefix}_ref.fa"),
+            "--reads".into(),
+            format!("{prefix}_reads.fq"),
+        ])
+        .unwrap();
 
         // Explicit lane widths thread through to the engine.
         for lanes in ["4", "8", "16", "auto"] {
@@ -1202,7 +1177,7 @@ mod tests {
         let begins = body.matches("\"ph\": \"B\"").count();
         assert!(begins > 0, "trace has no begin events: {body}");
         assert_eq!(begins, body.matches("\"ph\": \"E\"").count(), "{body}");
-        assert!(body.contains("seed_filter"), "{body}");
+        assert!(body.contains("seeding"), "{body}");
 
         // --quiet runs produce no report but still map (sequential and
         // batch paths both accept the telemetry flags).
@@ -1287,7 +1262,6 @@ mod tests {
             ("--kernel", "smith-waterman", "unknown kernel"),
             ("--pipeline", "streaming", "unknown pipeline"),
             ("--align-mode", "three-phase", "unknown align mode"),
-            ("--filter-mode", "shd", "unknown filter mode"),
         ] {
             let err = run(vec![
                 "map".into(),
@@ -1334,6 +1308,27 @@ mod tests {
         .unwrap_err();
         assert_eq!(err.exit_code(), 2);
         assert!(err.message().contains("timer is gone"), "{err:?}");
+    }
+
+    #[test]
+    fn map_batch_and_serve_reject_the_removed_filter_mode_flag() {
+        for command in ["map", "batch", "serve"] {
+            let err = run(vec![
+                command.into(),
+                "--ref".into(),
+                "missing.fa".into(),
+                "--reads".into(),
+                "missing.fq".into(),
+                "--filter-mode".into(),
+                "legacy".into(),
+            ])
+            .unwrap_err();
+            assert_eq!(err.exit_code(), 2, "{command}");
+            assert!(
+                err.message().contains("--filter-mode was removed"),
+                "{command}: {err:?}"
+            );
+        }
     }
 
     #[test]

@@ -105,29 +105,6 @@ pub fn record_stage_timings(metrics: &MetricsRegistry, timings: &StageTimings) {
     metrics
         .gauge("map.traceback_jobs")
         .set(timings.traceback_jobs);
-    // Cascade tier breakdown: where each candidate's journey ended
-    // (tier-0 q-gram reject, tier-1 distance reject, accept with a
-    // carried bound, or the legacy fallback scan) plus the tier-0
-    // probe volume and how many resolve-stage jobs reused a tier-1
-    // bound instead of rescanning. All zero in `--filter-mode legacy`.
-    metrics
-        .gauge("map.filter.tier0_rejects")
-        .set(timings.tier0_rejects);
-    metrics
-        .gauge("map.filter.tier0_probes")
-        .set(timings.tier0_probes);
-    metrics
-        .gauge("map.filter.tier1_rejects")
-        .set(timings.tier1_rejects);
-    metrics
-        .gauge("map.filter.cascade_accepts")
-        .set(timings.cascade_accepts);
-    metrics
-        .gauge("map.filter.cascade_fallbacks")
-        .set(timings.cascade_fallbacks);
-    metrics
-        .gauge("map.filter.bound_reuse_hits")
-        .set(timings.bound_reuse_hits);
 }
 
 /// Renders the registry snapshot to stderr in the chosen mode;
@@ -166,12 +143,6 @@ mod tests {
             dc_rows: (100, 75),
             filter_rows: (64, 16),
             tb_rows: (7, 900),
-            tier0_rejects: 25,
-            tier0_probes: 4_000,
-            tier1_rejects: 5,
-            cascade_accepts: 9,
-            cascade_fallbacks: 1,
-            bound_reuse_hits: 8,
             ..StageTimings::default()
         };
         record_stage_timings(&metrics, &timings);
@@ -183,12 +154,6 @@ mod tests {
         assert_eq!(snap.gauge("map.dc_occupancy_bp"), Some(7_500));
         assert_eq!(snap.gauge("map.filter_occupancy_bp"), Some(2_500));
         assert_eq!(snap.gauge("map.tb_rows"), Some(900));
-        assert_eq!(snap.gauge("map.filter.tier0_rejects"), Some(25));
-        assert_eq!(snap.gauge("map.filter.tier0_probes"), Some(4_000));
-        assert_eq!(snap.gauge("map.filter.tier1_rejects"), Some(5));
-        assert_eq!(snap.gauge("map.filter.cascade_accepts"), Some(9));
-        assert_eq!(snap.gauge("map.filter.cascade_fallbacks"), Some(1));
-        assert_eq!(snap.gauge("map.filter.bound_reuse_hits"), Some(8));
     }
 
     #[test]

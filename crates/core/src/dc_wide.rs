@@ -16,7 +16,6 @@
 //! wherever both apply (see the equivalence tests).
 
 use crate::alphabet::Alphabet;
-use crate::bitap::ScanMetrics;
 use crate::bitvec::BitVector;
 use crate::error::AlignError;
 use crate::pattern::PatternBitmasks;
@@ -425,307 +424,6 @@ pub fn window_dc_wide_distance_into<A: Alphabet>(
     Ok(None)
 }
 
-// ---------------------------------------------------------------------
-// Lock-step multi-word occurrence scan (filter-cascade tier 1)
-// ---------------------------------------------------------------------
-
-/// Lanes of the lock-step occurrence scan — matching the
-/// [`bitap`](crate::bitap) batch scans' lane count so one pass of the
-/// word loop advances four independent candidates.
-pub const OCCURRENCE_LANES: usize = 4;
-
-/// One candidate of the lock-step occurrence scan: a text window and a
-/// pre-built pattern (shared across every candidate of one oriented
-/// read via [`CascadePattern`](crate::cascade::CascadePattern)).
-#[derive(Debug, Clone, Copy)]
-pub struct OccurrenceLaneJob<'a, A: Alphabet> {
-    /// The candidate window.
-    pub text: &'a [u8],
-    /// The pattern's per-symbol bitmasks.
-    pub pattern: &'a PatternBitmasks<A>,
-    /// Distance threshold (clamped to the pattern length, like the
-    /// legacy filter's threshold clamp).
-    pub k: usize,
-}
-
-/// Reusable rolling rows and gathered text masks of
-/// [`occurrence_distance_lanes`]; grown on first use, recycled across
-/// groups and calls.
-#[derive(Debug, Default)]
-pub struct OccurrenceLaneScratch {
-    prev: Vec<u64>,
-    cur: Vec<u64>,
-    text_pm: Vec<u64>,
-}
-
-impl OccurrenceLaneScratch {
-    /// An empty scratch; buffers are grown on first use.
-    pub fn new() -> Self {
-        OccurrenceLaneScratch::default()
-    }
-}
-
-/// Per-lane bookkeeping of one lock-step group.
-#[derive(Debug, Clone, Copy, Default)]
-struct OccurrenceLane {
-    loaded: bool,
-    decided: bool,
-    n: usize,
-    words: usize,
-    k: usize,
-    msb_word: usize,
-    msb_bit: u32,
-}
-
-/// Iterative-deepening *occurrence* distance over a batch of
-/// candidates, up to [`OCCURRENCE_LANES`] multi-word scans in lock
-/// step: the distance-only recurrence of
-/// [`window_dc_wide_distance_into`] with the row-0 sentinel probed at
-/// **every** text position instead of only position 0, which turns
-/// the anchored window distance into the Bitap occurrence distance —
-/// `Ok(Some(d))` is the smallest `d` at which any occurrence of the
-/// pattern ends in the text, exactly
-/// [`find_best`](crate::bitap::find_best)'s best distance, and
-/// `Ok(Some(d)).is_some() == matches_within(text, pattern, k)`.
-/// Levels escalate one at a time, so a candidate resolving at
-/// distance `d` pays `d + 1` recurrence rows instead of the flat
-/// filter's `k + 1` — the cascade's tier-1 saving.
-///
-/// Row-slot accounting follows the
-/// [`ScanMetrics`](crate::bitap::ScanMetrics) convention: every
-/// `(level, text position)` step issues one slot per lane per pattern
-/// word. The lane width is the *group* width, not a constant — a
-/// partial trailing group executes (and is charged) only as many
-/// lanes as it holds, so per-read candidate lists shorter than
-/// [`OCCURRENCE_LANES`] pay no phantom-lane padding. A slot is useful
-/// when its lane held a loaded, still-undecided candidate at a real
-/// text position (`words` of the lane's own pattern). Error
-/// candidates contribute nothing.
-///
-/// Per-candidate results — including error cases — are independent of
-/// how candidates are grouped into lanes.
-pub fn occurrence_distance_lanes<A: Alphabet>(
-    jobs: &[OccurrenceLaneJob<'_, A>],
-    scratch: &mut OccurrenceLaneScratch,
-    metrics: &mut ScanMetrics,
-) -> Vec<Result<Option<usize>, AlignError>> {
-    let mut results: Vec<Option<Result<Option<usize>, AlignError>>> = vec![None; jobs.len()];
-    for (group_start, group) in jobs.chunks(OCCURRENCE_LANES).enumerate() {
-        occurrence_group::<A>(
-            group,
-            &mut results[group_start * OCCURRENCE_LANES..],
-            scratch,
-            metrics,
-        );
-    }
-    results
-        .into_iter()
-        .map(|slot| slot.expect("every job is scanned exactly once"))
-        .collect()
-}
-
-/// One lock-step group of [`occurrence_distance_lanes`].
-fn occurrence_group<A: Alphabet>(
-    group: &[OccurrenceLaneJob<'_, A>],
-    results: &mut [Option<Result<Option<usize>, AlignError>>],
-    scratch: &mut OccurrenceLaneScratch,
-    metrics: &mut ScanMetrics,
-) {
-    const L: usize = OCCURRENCE_LANES;
-    // Execute only as many lanes as the group holds: the interleaved
-    // layout strides by the group width, so a 1-candidate group costs
-    // one lane's slots, not a constant four.
-    let glen = group.len().min(L);
-    let mut lanes = [OccurrenceLane::default(); L];
-
-    // Validate and measure. Error lanes resolve immediately and stay
-    // unloaded; their slots idle on all-ones padding.
-    let mut n_max = 0usize;
-    let mut words_max = 0usize;
-    let mut k_rows = 0usize;
-    for (lane, job) in group.iter().enumerate() {
-        let m = job.pattern.len();
-        if m == 0 {
-            results[lane] = Some(Err(AlignError::EmptyPattern));
-            continue;
-        }
-        if m > MAX_WIDE_WINDOW {
-            results[lane] = Some(Err(AlignError::InvalidWindow { w: m }));
-            continue;
-        }
-        if job.text.is_empty() {
-            results[lane] = Some(Err(AlignError::EmptyText));
-            continue;
-        }
-        let state = &mut lanes[lane];
-        state.loaded = true;
-        state.n = job.text.len();
-        state.words = m.div_ceil(64);
-        state.k = job.k.min(m);
-        state.msb_word = (m - 1) / 64;
-        state.msb_bit = ((m - 1) % 64) as u32;
-        n_max = n_max.max(state.n);
-        words_max = words_max.max(state.words);
-        k_rows = k_rows.max(state.k);
-    }
-    if !lanes.iter().any(|l| l.loaded) {
-        return;
-    }
-
-    // Gather text masks into lane-interleaved words. Unloaded slots,
-    // positions past a lane's text, and words past a lane's pattern
-    // keep the all-ones match-nothing mask: the recurrence then holds
-    // such cells at the `ones << d` boundary state (shifts only move
-    // bits upward and every combine is an AND), so padding is inert.
-    let lane_stride = words_max * glen;
-    scratch.text_pm.clear();
-    scratch.text_pm.resize(n_max * lane_stride, u64::MAX);
-    for (lane, job) in group.iter().enumerate() {
-        if !lanes[lane].loaded {
-            continue;
-        }
-        let mut ok = true;
-        for (i, &byte) in job.text.iter().enumerate() {
-            match job.pattern.mask(byte) {
-                Some(mask) => {
-                    for (w, &word) in mask.as_words().iter().enumerate() {
-                        scratch.text_pm[i * lane_stride + w * glen + lane] = word;
-                    }
-                }
-                None => {
-                    results[lane] = Some(Err(AlignError::InvalidSymbol { pos: i, byte }));
-                    lanes[lane].loaded = false;
-                    ok = false;
-                    break;
-                }
-            }
-        }
-        if !ok {
-            // Re-pad whatever the partial gather wrote.
-            for slot in scratch.text_pm[..job.text.len() * lane_stride]
-                .iter_mut()
-                .skip(lane)
-                .step_by(glen)
-            {
-                *slot = u64::MAX;
-            }
-        }
-    }
-    if !lanes.iter().any(|l| l.loaded) {
-        return;
-    }
-
-    scratch.prev.clear();
-    scratch.prev.resize(n_max * lane_stride, 0);
-    scratch.cur.clear();
-    scratch.cur.resize(n_max * lane_stride, 0);
-    let prev = &mut scratch.prev;
-    let cur = &mut scratch.cur;
-
-    let mut decide = |lane: usize, lanes: &mut [OccurrenceLane; L], outcome: Option<usize>| {
-        results[lane] = Some(Ok(outcome));
-        lanes[lane].decided = true;
-    };
-
-    // Fused hit test: each lane's sentinel word is captured in-flight
-    // while the word loop computes it, so the per-position probes below
-    // read one register-warm value per lane instead of re-gathering the
-    // strided `msb_word` slot from the row buffer.
-    let mut probe = [0u64; L];
-
-    // Row 0: R[0][i] = (R[0][i+1] << 1) | PM, all-ones boundary at n.
-    {
-        let mut r = vec![u64::MAX; lane_stride];
-        for i in (0..n_max).rev() {
-            metrics.rows_issued += (glen * words_max) as u64;
-            let mut carry = [0u64; L];
-            for w in 0..words_max {
-                for (lane, c) in carry.iter_mut().enumerate().take(glen) {
-                    let slot = w * glen + lane;
-                    let old = r[slot];
-                    let shifted = (old << 1) | *c;
-                    *c = old >> 63;
-                    let word = shifted | scratch.text_pm[i * lane_stride + slot];
-                    r[slot] = word;
-                    if w == lanes[lane].msb_word {
-                        probe[lane] = word;
-                    }
-                }
-            }
-            prev[i * lane_stride..(i + 1) * lane_stride].copy_from_slice(&r);
-            for lane in 0..glen {
-                let state = lanes[lane];
-                if state.loaded && !state.decided && i < state.n {
-                    metrics.rows_useful += state.words as u64;
-                    if probe[lane] >> state.msb_bit & 1 == 0 {
-                        decide(lane, &mut lanes, Some(0));
-                    }
-                }
-            }
-        }
-    }
-
-    for d in 1..=k_rows {
-        for lane in 0..glen {
-            if lanes[lane].loaded && !lanes[lane].decided && lanes[lane].k < d {
-                decide(lane, &mut lanes, None);
-            }
-        }
-        if lanes.iter().all(|l| !l.loaded || l.decided) {
-            break;
-        }
-        for i in (0..n_max).rev() {
-            metrics.rows_issued += (glen * words_max) as u64;
-            let next = (i + 1 < n_max).then_some((i + 1) * lane_stride);
-            let mut del_carry = [0u64; L];
-            let mut ins_carry = [0u64; L];
-            let mut mat_carry = [0u64; L];
-            for w in 0..words_max {
-                let boundary_dm1 = boundary_word(d - 1, w);
-                let boundary_d = boundary_word(d, w);
-                for lane in 0..glen {
-                    let slot = w * glen + lane;
-                    let del = match next {
-                        Some(base) => prev[base + slot],
-                        None => boundary_dm1,
-                    };
-                    let ins_src = prev[i * lane_stride + slot];
-                    let rn = match next {
-                        Some(base) => cur[base + slot],
-                        None => boundary_d,
-                    };
-                    let sub = (del << 1) | del_carry[lane];
-                    del_carry[lane] = del >> 63;
-                    let ins = (ins_src << 1) | ins_carry[lane];
-                    ins_carry[lane] = ins_src >> 63;
-                    let mat = (rn << 1) | mat_carry[lane] | scratch.text_pm[i * lane_stride + slot];
-                    mat_carry[lane] = rn >> 63;
-                    let word = del & sub & ins & mat;
-                    cur[i * lane_stride + slot] = word;
-                    if w == lanes[lane].msb_word {
-                        probe[lane] = word;
-                    }
-                }
-            }
-            for lane in 0..glen {
-                let state = lanes[lane];
-                if state.loaded && !state.decided && i < state.n {
-                    metrics.rows_useful += state.words as u64;
-                    if probe[lane] >> state.msb_bit & 1 == 0 {
-                        decide(lane, &mut lanes, Some(d));
-                    }
-                }
-            }
-        }
-        std::mem::swap(prev, cur);
-    }
-    for lane in 0..glen {
-        if lanes[lane].loaded && !lanes[lane].decided {
-            decide(lane, &mut lanes, None);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -882,151 +580,6 @@ mod tests {
             window_dc_wide::<Dna>(&big, &big, 1),
             Err(AlignError::InvalidWindow { .. })
         ));
-    }
-
-    /// Builds a mixed bag of candidate windows for one pattern: true
-    /// hits at varying distances plus random misses.
-    fn occurrence_cases(m: usize, seed: u64) -> (Vec<u8>, Vec<Vec<u8>>) {
-        let reference = dna(600, seed);
-        let pos = (seed as usize * 41) % (reference.len() - m - 40);
-        let mut read = reference[pos..pos + m].to_vec();
-        for e in 0..(seed as usize % 7) {
-            let idx = (e * 23 + 11) % read.len();
-            read[idx] = if read[idx] == b'A' { b'G' } else { b'A' };
-        }
-        let k = m * 15 / 100;
-        let mut windows = Vec::new();
-        // The true locus, a shifted near-miss, short windows, and
-        // random windows.
-        windows.push(reference[pos..(pos + m + k).min(reference.len())].to_vec());
-        windows.push(reference[pos + 5..(pos + 5 + m + k).min(reference.len())].to_vec());
-        windows.push(reference[pos..pos + m / 2].to_vec());
-        for r in 0..4u64 {
-            windows.push(dna(m + k, seed * 100 + r));
-        }
-        (read, windows)
-    }
-
-    #[test]
-    fn occurrence_lanes_match_bitap_best_distance() {
-        use crate::bitap::find_best;
-        let mut scratch = OccurrenceLaneScratch::new();
-        for m in [40usize, 100, 150, 200] {
-            for seed in 1..8u64 {
-                let (read, windows) = occurrence_cases(m, seed * 7 + m as u64);
-                let k = m * 15 / 100;
-                let pm = PatternBitmasks::<Dna>::new(&read).unwrap();
-                let jobs: Vec<OccurrenceLaneJob<'_, Dna>> = windows
-                    .iter()
-                    .map(|w| OccurrenceLaneJob {
-                        text: w,
-                        pattern: &pm,
-                        k,
-                    })
-                    .collect();
-                let mut metrics = ScanMetrics::default();
-                let got = occurrence_distance_lanes::<Dna>(&jobs, &mut scratch, &mut metrics);
-                for (win, outcome) in windows.iter().zip(&got) {
-                    let want = find_best::<Dna>(win, &read, k)
-                        .unwrap()
-                        .map(|best| best.distance);
-                    assert_eq!(
-                        outcome.as_ref().unwrap(),
-                        &want,
-                        "m={m} seed={seed} window_len={}",
-                        win.len()
-                    );
-                }
-                assert!(metrics.rows_issued >= metrics.rows_useful);
-                assert!(metrics.rows_useful > 0);
-            }
-        }
-    }
-
-    #[test]
-    fn occurrence_lanes_are_grouping_independent() {
-        let mut scratch = OccurrenceLaneScratch::new();
-        let (read, windows) = occurrence_cases(150, 3);
-        let pm = PatternBitmasks::<Dna>::new(&read).unwrap();
-        let jobs: Vec<OccurrenceLaneJob<'_, Dna>> = windows
-            .iter()
-            .map(|w| OccurrenceLaneJob {
-                text: w,
-                pattern: &pm,
-                k: 22,
-            })
-            .collect();
-        let mut batched_metrics = ScanMetrics::default();
-        let batched = occurrence_distance_lanes::<Dna>(&jobs, &mut scratch, &mut batched_metrics);
-        for (job, want) in jobs.iter().zip(&batched) {
-            let mut metrics = ScanMetrics::default();
-            let solo = occurrence_distance_lanes::<Dna>(
-                std::slice::from_ref(job),
-                &mut scratch,
-                &mut metrics,
-            );
-            assert_eq!(solo[0].as_ref().unwrap(), want.as_ref().unwrap());
-        }
-    }
-
-    #[test]
-    fn occurrence_lanes_report_errors_like_the_scalar_scans() {
-        let mut scratch = OccurrenceLaneScratch::new();
-        let pm = PatternBitmasks::<Dna>::new(b"ACGTACGT").unwrap();
-        let jobs = [
-            OccurrenceLaneJob::<'_, Dna> {
-                text: b"",
-                pattern: &pm,
-                k: 2,
-            },
-            OccurrenceLaneJob::<'_, Dna> {
-                text: b"ACGNACGT",
-                pattern: &pm,
-                k: 2,
-            },
-            OccurrenceLaneJob::<'_, Dna> {
-                text: b"ACGTACGT",
-                pattern: &pm,
-                k: 2,
-            },
-        ];
-        let mut metrics = ScanMetrics::default();
-        let got = occurrence_distance_lanes::<Dna>(&jobs, &mut scratch, &mut metrics);
-        assert!(matches!(got[0], Err(AlignError::EmptyText)));
-        assert!(matches!(
-            got[1],
-            Err(AlignError::InvalidSymbol { pos: 3, byte: b'N' })
-        ));
-        assert_eq!(got[2], Ok(Some(0)));
-    }
-
-    #[test]
-    fn occurrence_lane_accounting_shrinks_with_early_resolution() {
-        // An exact hit resolves at level 0; a clean miss must escalate
-        // through every level — the useful-row gap between them is the
-        // cascade's tier-1 saving.
-        let mut scratch = OccurrenceLaneScratch::new();
-        let read = dna(150, 5);
-        let pm = PatternBitmasks::<Dna>::new(&read).unwrap();
-        let hit_window = read.clone();
-        let miss_window = dna(172, 99);
-        let mut hit_metrics = ScanMetrics::default();
-        let hit_jobs = [OccurrenceLaneJob::<'_, Dna> {
-            text: &hit_window,
-            pattern: &pm,
-            k: 22,
-        }];
-        let hit = occurrence_distance_lanes::<Dna>(&hit_jobs, &mut scratch, &mut hit_metrics);
-        assert_eq!(hit[0], Ok(Some(0)));
-        let mut miss_metrics = ScanMetrics::default();
-        let miss_jobs = [OccurrenceLaneJob::<'_, Dna> {
-            text: &miss_window,
-            pattern: &pm,
-            k: 22,
-        }];
-        let miss = occurrence_distance_lanes::<Dna>(&miss_jobs, &mut scratch, &mut miss_metrics);
-        assert_eq!(miss[0], Ok(None));
-        assert!(hit_metrics.rows_useful * 10 < miss_metrics.rows_useful);
     }
 
     #[test]

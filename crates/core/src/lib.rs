@@ -17,10 +17,6 @@
 //!   TB over overlapping windows (window size `W`, overlap `O`);
 //! * [`edit_distance`] and [`filter`] — the edit-distance-calculation and
 //!   pre-alignment-filtering use cases (use cases 3 and 2 of the paper);
-//! * [`cascade`] — the escalating filter cascade: a q-gram tier-0
-//!   bailout and the [`FilterVerdict`](cascade::FilterVerdict) carried
-//!   into distance resolution, feeding [`dc_wide`]'s lock-step
-//!   occurrence scan;
 //! * [`cigar`] and [`scoring`] — alignment representation and scoring.
 //!
 //! # Quick example
@@ -45,7 +41,6 @@ pub mod align;
 pub mod alphabet;
 pub mod bitap;
 pub mod bitvec;
-pub mod cascade;
 pub mod cigar;
 pub mod dc;
 pub mod dc_multi;

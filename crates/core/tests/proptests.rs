@@ -567,81 +567,3 @@ proptest! {
         prop_assert!(ops_f16 <= ops_u16, "fused x16 scanned more: {} > {}", ops_f16, ops_u16);
     }
 }
-
-// ---------------------------------------------------------------------
-// Escalating filter cascade: tier-0 soundness and tier-1 bound
-// certification against the legacy scan and the DP ground truth.
-// ---------------------------------------------------------------------
-
-use genasm_core::cascade::{dna_codes_into, tier0_rejects, CascadePattern, Tier0Scratch};
-use genasm_core::dc_wide::{occurrence_distance_lanes, OccurrenceLaneJob, OccurrenceLaneScratch};
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(200))]
-
-    /// Tier-0 of the cascade never rejects a pair the legacy filter
-    /// accepts: a q-gram reject is a proof that no in-threshold
-    /// occurrence exists, so the cascade's accept set stays exactly
-    /// the legacy accept set.
-    #[test]
-    fn cascade_tier0_is_sound((text, pattern) in read_pair(200), k in 0usize..24) {
-        let mut codes = Vec::new();
-        prop_assert!(dna_codes_into(&text, &mut codes));
-        let cp = CascadePattern::new(&pattern).unwrap();
-        let mut scratch = Tier0Scratch::new();
-        if bitap::matches_within::<Dna>(&text, &pattern, k).unwrap() {
-            prop_assert!(
-                !tier0_rejects(&codes, &cp, k, &mut scratch),
-                "tier-0 rejected a legacy-accepted pair (m={} n={} k={})",
-                pattern.len(), text.len(), k
-            );
-        }
-    }
-
-    /// Tier-1's occurrence distance is a certified bound: present iff
-    /// the legacy scan accepts, equal to the legacy scan's best
-    /// distance (the value the resolve stage would recompute — the
-    /// `exact` claim), never above the semiglobal DP truth, and
-    /// independent of how candidates are grouped into lanes. Pattern
-    /// lengths cross the 64-character word boundary.
-    #[test]
-    fn cascade_tier1_bound_is_certified(
-        pairs_in in proptest::collection::vec(read_pair(160), 1..=7),
-        k in 0usize..24,
-    ) {
-        let patterns: Vec<CascadePattern> = pairs_in
-            .iter()
-            .map(|(_, p)| CascadePattern::new(p).unwrap())
-            .collect();
-        let jobs: Vec<OccurrenceLaneJob<'_, Dna>> = pairs_in
-            .iter()
-            .zip(&patterns)
-            .map(|((text, _), cp)| OccurrenceLaneJob { text, pattern: cp.masks(), k })
-            .collect();
-        let mut scratch = OccurrenceLaneScratch::new();
-        let mut metrics = bitap::ScanMetrics::default();
-        let batched = occurrence_distance_lanes::<Dna>(&jobs, &mut scratch, &mut metrics);
-        for (idx, ((text, pattern), result)) in pairs_in.iter().zip(&batched).enumerate() {
-            let bound = result.as_ref().expect("dna-only inputs scan cleanly");
-            let legacy = bitap::find_best::<Dna>(text, pattern, k).unwrap();
-            prop_assert_eq!(
-                bound.is_some(),
-                legacy.is_some(),
-                "idx {}: accept sets differ (k={})", idx, k
-            );
-            if let (Some(d), Some(best)) = (bound, legacy) {
-                prop_assert_eq!(*d, best.distance, "idx {}: bound is not exact", idx);
-                let truth = semiglobal_distance(text, pattern);
-                prop_assert!(*d <= truth, "idx {}: bound {} above truth {}", idx, d, truth);
-            }
-            // Grouping independence: a singleton scan agrees with the
-            // batched lanes.
-            let solo = occurrence_distance_lanes::<Dna>(
-                &jobs[idx..idx + 1],
-                &mut scratch,
-                &mut bitap::ScanMetrics::default(),
-            );
-            prop_assert_eq!(solo[0].as_ref().unwrap(), bound, "idx {}: grouping changed the result", idx);
-        }
-    }
-}

@@ -593,7 +593,6 @@ impl Engine {
             tb_windows: meters.tb.0,
             tb_rows: meters.tb.1,
             dc_distance_jobs: 0,
-            jobs_prefilled: 0,
             jobs_poisoned: count_poisoned(results.iter().map(|r| r.as_ref().err())),
             jobs_cancelled: count_cancelled(results.iter().map(|r| r.as_ref().err())),
             deadline_hit: meters.deadline_hit,
@@ -615,64 +614,7 @@ impl Engine {
     /// `k_max`. Producers resolve per-read winners on these values and
     /// submit only winners to [`align_batch_keyed`](Self::align_batch_keyed)
     /// for traceback.
-    ///
-    /// Jobs carrying a pre-certified
-    /// [`resolved`](DistanceJob::resolved) distance (the filter
-    /// cascade's exact tier-1 bounds) are answered inline without
-    /// entering the worker pool; [`BatchStats::jobs_prefilled`] counts
-    /// them. A batch that is prefilled end to end never spins up
-    /// workers at all.
     pub fn distance_batch_keyed(&self, jobs: &[DistanceJob]) -> (Vec<KeyedDistance>, BatchStats) {
-        let prefilled = jobs.iter().filter(|j| j.resolved.is_some()).count();
-        if prefilled == 0 {
-            return self.distance_batch_scheduled(jobs);
-        }
-        if prefilled == jobs.len() {
-            let started = Instant::now();
-            let results = jobs
-                .iter()
-                .map(|job| KeyedDistance {
-                    key: job.key,
-                    result: Ok(job.resolved),
-                })
-                .collect();
-            let stats = BatchStats {
-                jobs: jobs.len(),
-                dc_distance_jobs: jobs.len() as u64,
-                jobs_prefilled: prefilled as u64,
-                wall: started.elapsed(),
-                ..BatchStats::default()
-            };
-            return (results, stats);
-        }
-        // Mixed batch: schedule only the unresolved subset, then merge
-        // results back in input order.
-        let live: Vec<DistanceJob> = jobs
-            .iter()
-            .filter(|j| j.resolved.is_none())
-            .cloned()
-            .collect();
-        let (live_results, mut stats) = self.distance_batch_scheduled(&live);
-        let mut scheduled = live_results.into_iter();
-        let results = jobs
-            .iter()
-            .map(|job| match job.resolved {
-                Some(d) => KeyedDistance {
-                    key: job.key,
-                    result: Ok(Some(d)),
-                },
-                None => scheduled.next().expect("one scheduled result per live job"),
-            })
-            .collect();
-        stats.jobs = jobs.len();
-        stats.dc_distance_jobs = jobs.len() as u64;
-        stats.jobs_prefilled = prefilled as u64;
-        (results, stats)
-    }
-
-    /// The scheduled arm of [`distance_batch_keyed`](Self::distance_batch_keyed):
-    /// every job runs through the kernel on the worker pool.
-    fn distance_batch_scheduled(&self, jobs: &[DistanceJob]) -> (Vec<KeyedDistance>, BatchStats) {
         let started = Instant::now();
         if jobs.is_empty() {
             let stats = BatchStats {
@@ -747,7 +689,6 @@ impl Engine {
             tb_windows: meters.tb.0,
             tb_rows: meters.tb.1,
             dc_distance_jobs: jobs.len() as u64,
-            jobs_prefilled: 0,
             jobs_poisoned: count_poisoned(results.iter().map(|r| r.result.as_ref().err())),
             jobs_cancelled: count_cancelled(results.iter().map(|r| r.result.as_ref().err())),
             deadline_hit: meters.deadline_hit,
@@ -1262,50 +1203,6 @@ mod tests {
                 let d = keyed.result.as_ref().unwrap().expect("budget covers m");
                 let e = result.as_ref().unwrap().edit_distance;
                 assert!(d <= e, "workers={workers}: distance {d} vs alignment {e}");
-            }
-        }
-    }
-
-    #[test]
-    fn prefilled_distance_jobs_skip_the_pool_and_merge_in_order() {
-        let engine = Engine::new(EngineConfig::default().with_workers(3));
-        // Fully prefilled batch: answered without workers.
-        let all: Vec<DistanceJob> = (0..7)
-            .map(|i| DistanceJob::prefilled(i as usize).with_key(0xF00_0000 + i))
-            .collect();
-        let (results, stats) = engine.distance_batch_keyed(&all);
-        assert_eq!(stats.jobs_prefilled, 7);
-        assert_eq!(stats.jobs, 7);
-        assert_eq!(stats.workers, 0, "no pool for a fully prefilled batch");
-        assert_eq!(stats.dc_rows_issued, 0);
-        for (i, keyed) in results.iter().enumerate() {
-            assert_eq!(keyed.key, 0xF00_0000 + i as u64);
-            assert_eq!(keyed.result, Ok(Some(i)));
-        }
-        // Mixed batch: prefilled and scheduled jobs interleave; every
-        // result lands in input order with its own key, and scheduled
-        // results match a pure scheduled run.
-        let mut mixed: Vec<DistanceJob> = jobs()
-            .into_iter()
-            .enumerate()
-            .map(|(i, job)| {
-                DistanceJob::new(&job.text, &job.pattern, job.pattern.len()).with_key(i as u64)
-            })
-            .collect();
-        let pure = engine.distance_batch_keyed(&mixed).0;
-        for i in (0..mixed.len()).step_by(3) {
-            mixed[i] = DistanceJob::prefilled(2).with_key(mixed[i].key);
-        }
-        let (merged, stats) = engine.distance_batch_keyed(&mixed);
-        assert_eq!(stats.jobs, mixed.len());
-        assert_eq!(stats.jobs_prefilled, mixed.len().div_ceil(3) as u64);
-        assert_eq!(stats.dc_distance_jobs, mixed.len() as u64);
-        for (i, keyed) in merged.iter().enumerate() {
-            assert_eq!(keyed.key, i as u64);
-            if i % 3 == 0 {
-                assert_eq!(keyed.result, Ok(Some(2)));
-            } else {
-                assert_eq!(keyed.result, pure[i].result);
             }
         }
     }

@@ -141,11 +141,6 @@ pub struct DistanceJob {
     /// Caller-assigned tag returned with the job's result by
     /// [`Engine::distance_batch_keyed`](crate::Engine::distance_batch_keyed).
     pub key: u64,
-    /// An already-known exact distance for this pair (the filter
-    /// cascade's tier-1 occurrence bound). A resolved job is answered
-    /// by the engine without touching the worker pool or the kernel —
-    /// the tier-2 "no candidate is scanned twice" contract.
-    pub resolved: Option<usize>,
 }
 
 impl DistanceJob {
@@ -156,20 +151,6 @@ impl DistanceJob {
             pattern: pattern.to_vec(),
             k_max,
             key: 0,
-            resolved: None,
-        }
-    }
-
-    /// Builds a job whose distance is already certified exact by the
-    /// filter cascade: it carries no sequences and is answered
-    /// `Ok(Some(distance))` without being scheduled.
-    pub fn prefilled(distance: usize) -> Self {
-        DistanceJob {
-            text: Vec::new(),
-            pattern: Vec::new(),
-            k_max: distance,
-            key: 0,
-            resolved: Some(distance),
         }
     }
 

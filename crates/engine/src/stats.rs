@@ -50,11 +50,6 @@ pub struct BatchStats {
     /// Distance-only (phase-1) jobs this batch ran; zero for full
     /// alignment batches.
     pub dc_distance_jobs: u64,
-    /// Distance jobs answered from their pre-certified
-    /// [`resolved`](crate::DistanceJob::resolved) bound without
-    /// touching the worker pool — the filter cascade's bound-reuse
-    /// hits. Included in `jobs` and `dc_distance_jobs`.
-    pub jobs_prefilled: u64,
     /// Jobs quarantined after a kernel panic
     /// ([`JobError::Panicked`]); included in `failures`.
     pub jobs_poisoned: u64,

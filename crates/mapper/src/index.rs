@@ -95,22 +95,25 @@ impl PackedRef {
         self.valid[i / 64] >> (i % 64) & 1 == 1
     }
 
-    /// Appends the 2-bit codes of bases `start..start + len` (clamped
-    /// to the reference end) to `out`. Returns `false` — leaving `out`
-    /// truncated to its original length — when the window covers a
-    /// non-ACGT base: such windows must take the byte-level filter
-    /// path, whose lazy text validation the packed codes cannot
-    /// reproduce. Used by the filter cascade's tier-0 q-gram scan.
-    pub fn window_codes_into(&self, start: usize, len: usize, out: &mut Vec<u8>) -> bool {
-        let mark = out.len();
+    /// `true` when bases `start..start + len` (clamped to the
+    /// reference end) are all ACGT, checked a validity word at a time.
+    /// The mapper's post-alignment certificate holds only for such
+    /// windows; any other window takes the pre-alignment filter.
+    pub fn is_acgt(&self, start: usize, len: usize) -> bool {
         let end = (start + len).min(self.len);
-        out.reserve(end.saturating_sub(start));
-        for i in start..end {
-            if !self.is_valid(i) {
-                out.truncate(mark);
+        let mut i = start;
+        while i < end {
+            let bit = i % 64;
+            let span = (64 - bit).min(end - i);
+            let mask = if span == 64 {
+                u64::MAX
+            } else {
+                ((1u64 << span) - 1) << bit
+            };
+            if self.valid[i / 64] & mask != mask {
                 return false;
             }
-            out.push(self.code(i));
+            i += span;
         }
         true
     }
@@ -450,18 +453,19 @@ mod tests {
     }
 
     #[test]
-    fn window_codes_cover_valid_spans_and_reject_invalid_ones() {
-        let packed = PackedRef::pack(b"acgtACGTNACGT");
-        let mut out = vec![7u8];
-        assert!(packed.window_codes_into(0, 8, &mut out));
-        assert_eq!(out, vec![7, 0, 1, 2, 3, 0, 1, 2, 3]);
-        // Overlapping the N fails without leaving partial output.
-        assert!(!packed.window_codes_into(6, 4, &mut out));
-        assert_eq!(out, vec![7, 0, 1, 2, 3, 0, 1, 2, 3]);
+    fn acgt_windows_are_told_apart_from_ones_covering_other_bytes() {
+        let mut reference = b"acgtACGT".repeat(20);
+        reference[70] = b'N';
+        let packed = PackedRef::pack(&reference);
+        assert!(packed.is_acgt(0, 70));
+        assert!(packed.is_acgt(71, 89));
+        assert!(!packed.is_acgt(70, 1));
+        assert!(!packed.is_acgt(60, 20));
+        assert!(!packed.is_acgt(0, 160));
         // Past-the-end windows clamp like the mapper's region().
-        out.clear();
-        assert!(packed.window_codes_into(9, 100, &mut out));
-        assert_eq!(out, vec![0, 1, 2, 3]);
+        assert!(packed.is_acgt(100, 1_000));
+        assert!(packed.is_acgt(160, 5));
+        assert!(packed.is_acgt(3, 0));
     }
 
     #[test]

@@ -19,7 +19,5 @@ pub mod seed;
 pub use assembly::{Assembler, Assembly};
 pub use index::{PackedRef, ShardedIndex};
 pub use overlap::{Overlap, OverlapConfig, OverlapFinder};
-pub use pipeline::{
-    AlignerKind, FilterKind, MapperConfig, Mapping, ReadMapper, ReadOutcome, StageTimings,
-};
+pub use pipeline::{AlignerKind, MapperConfig, Mapping, ReadMapper, ReadOutcome, StageTimings};
 pub use seed::{Candidate, Seeder};

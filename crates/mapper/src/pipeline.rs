@@ -1,45 +1,53 @@
 //! The read-mapping pipeline (Figure 1): seeding → pre-alignment
-//! filtering → read alignment, with pluggable filter and aligner so
-//! the Figure 11 experiment can swap the alignment step between the
-//! software DP baseline and GenASM.
+//! filtering → read alignment, with a pluggable aligner so the Figure
+//! 11 experiment can swap the alignment step between the software DP
+//! baseline and GenASM.
 //!
-//! Two execution shapes share the exact same stages and produce
-//! bit-identical mappings:
+//! Two execution shapes produce bit-identical mappings:
 //!
 //! * [`ReadMapper::map_read`] — the sequential reference path, one
-//!   read at a time;
+//!   read at a time: seed, run the GenASM-DC pre-alignment filter
+//!   ([`PreAlignmentFilter`]) over every candidate, align every
+//!   survivor, keep the best;
 //! * [`ReadMapper::map_batch_with_engine`] — the staged batch path:
-//!   seed a whole batch of reads (both strands), funnel *every*
-//!   candidate across the batch through the lock-step pre-alignment
-//!   filter in one scan, then resolve and align the survivors on a
-//!   multi-threaded [`Engine`].
+//!   seed a whole batch of reads (both strands), then resolve and align
+//!   every candidate on a multi-threaded [`Engine`]. It has no filter
+//!   stage; the edit budget is checked after alignment instead.
 //!
-//! The batch path's alignment step itself has two execution models
+//! The batch path's alignment step has two execution models
 //! ([`AlignMode`]). The default **two-phase** model mirrors the
 //! paper's GenASM-DC / GenASM-TB split at pipeline granularity: every
-//! filter survivor first runs a **distance-only** scan
+//! candidate first runs a **distance-only** scan
 //! ([`Engine::distance_batch_keyed`] — no row storage, no TB-SRAM),
 //! per-read best resolution happens on those distances, and only each
 //! read's winner re-runs in full mode and walks traceback. Because the
 //! phase-1 distance is a lower bound of the full windowed alignment's
-//! edit distance, a bounded second verification round makes the final
-//! mappings provably bit-identical to the **full** model (which aligns
-//! every survivor with traceback storage, the pre-two-phase shape).
+//! edit distance, a bounded verification round makes the selection
+//! provably identical to the **full** model, which aligns every
+//! candidate with traceback storage.
+//!
+//! # The budget as a post-alignment certificate
+//!
+//! The filter keeps a candidate when the read occurs in its region
+//! within the budget `k`. The batch path gets the same selection from
+//! three facts: phase-1 bound ≤ occurrence distance ≤ realized
+//! alignment distance. So a candidate whose bound exceeds `k` is one
+//! the filter rejects, and is dropped; and a read whose best alignment
+//! has at most `k` edits proves an occurrence within `k`, so that best
+//! is a candidate the filter accepts and therefore the filter path's
+//! answer too. Only a read whose best overshoots `k` — or whose
+//! sequence or candidate windows hold a non-ACGT byte, where the
+//! filter's symbol handling breaks the chain — falls back: the filter
+//! runs over its candidates within the bound, and the read picks again
+//! among the ones it accepts.
 
 use crate::index::{PackedRef, ShardedIndex};
 use crate::seed::{Candidate, SeedScratch, Seeder};
 use genasm_baselines::gotoh::{GotohAligner, GotohMode};
-use genasm_baselines::shouji::ShoujiFilter;
 use genasm_core::align::{GenAsmAligner, GenAsmConfig};
-use genasm_core::alphabet::Dna;
+use genasm_core::alphabet::{Alphabet, Dna};
 use genasm_core::bitap::{ScanMetrics, SCAN_LANES};
-use genasm_core::cascade::{
-    tier0_probes, tier0_rejects, CascadePattern, FilterVerdict, Tier0Scratch,
-};
 use genasm_core::cigar::Cigar;
-use genasm_core::dc_wide::{
-    occurrence_distance_lanes, OccurrenceLaneJob, OccurrenceLaneScratch, MAX_WIDE_WINDOW,
-};
 use genasm_core::filter::PreAlignmentFilter;
 use genasm_core::scoring::Scoring;
 use genasm_engine::{
@@ -68,40 +76,6 @@ pub const READS_POISONED_COUNTER: &str = "map.reads_poisoned";
 /// (or its token was cancelled) before they fully resolved.
 pub const READS_DEADLINE_DROPPED_COUNTER: &str = "map.reads_deadline_dropped";
 
-/// Which pre-alignment filter the pipeline uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum FilterKind {
-    /// GenASM-DC as the filter (use case 2 of the paper).
-    #[default]
-    GenAsm,
-    /// The Shouji heuristic filter.
-    Shouji,
-    /// No filtering: all candidates go to alignment.
-    None,
-}
-
-/// How the GenASM pre-alignment filter executes (selects the filter
-/// *engine*, not the filter semantics: accepted candidate sets — and
-/// therefore final mappings — are bit-identical in both modes).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum FilterMode {
-    /// The escalating per-candidate cascade: a tier-0 banded q-gram
-    /// bailout over the packed reference rejects most decoys before
-    /// any recurrence row is issued, survivors run the
-    /// iterative-deepening lock-step occurrence scan
-    /// ([`occurrence_distance_lanes`]) whose exact distance is carried
-    /// forward as a [`FilterVerdict`] bound, and the two-phase resolve
-    /// stage answers those candidates' distance jobs from the bound
-    /// instead of rescanning them.
-    #[default]
-    Cascade,
-    /// The flat lock-step scan (the pre-cascade shape): every
-    /// candidate pays the full `k + 1` recurrence rows. Kept as the
-    /// identity oracle for the cascade and selectable via the CLI's
-    /// `--filter-mode legacy`.
-    Legacy,
-}
-
 /// Which aligner the pipeline uses for step 3.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum AlignerKind {
@@ -116,8 +90,8 @@ pub enum AlignerKind {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum AlignMode {
     /// Distance-first candidate resolution with deferred, batched
-    /// traceback: every filter survivor runs the distance-only
-    /// lock-step kernel, per-read best resolution happens on the
+    /// traceback: every candidate runs the distance-only lock-step
+    /// kernel, per-read best resolution happens on the
     /// distances, and only winners re-run in full (TB-storing) mode.
     /// Bit-identical to [`AlignMode::Full`]; traceback rows drop by
     /// roughly the candidate-to-winner ratio. Applies to the GenASM
@@ -125,8 +99,8 @@ pub enum AlignMode {
     /// always runs single-phase).
     #[default]
     TwoPhase,
-    /// Full TB-storing alignment of every filter survivor (the
-    /// single-phase shape).
+    /// Full TB-storing alignment of every candidate (the single-phase
+    /// shape).
     Full,
 }
 
@@ -137,16 +111,11 @@ pub struct MapperConfig {
     pub seed_len: usize,
     /// Seeding parameters.
     pub seeder: Seeder,
-    /// Filter selection.
-    pub filter: FilterKind,
-    /// Execution mode of the GenASM filter (cascade by default;
-    /// candidate sets are bit-identical in both modes). Ignored by the
-    /// other filter kinds.
-    pub filter_mode: FilterMode,
     /// Aligner selection.
     pub aligner: AlignerKind,
-    /// Edit-distance threshold as a fraction of read length (the
-    /// filter threshold and the candidate-region slack `k`).
+    /// Edit-distance budget as a fraction of read length: the filter
+    /// threshold and post-alignment certificate `k`, and the
+    /// candidate-region slack.
     pub error_fraction: f64,
     /// Scoring used when the aligner reports a score.
     pub scoring: Scoring,
@@ -163,14 +132,12 @@ pub struct MapperConfig {
 }
 
 impl Default for MapperConfig {
-    /// Seed length 12, GenASM filter + aligner, 15% error budget,
-    /// BWA-MEM scoring.
+    /// Seed length 12, GenASM aligner, 15% error budget, BWA-MEM
+    /// scoring.
     fn default() -> Self {
         MapperConfig {
             seed_len: 12,
             seeder: Seeder::default(),
-            filter: FilterKind::GenAsm,
-            filter_mode: FilterMode::default(),
             aligner: AlignerKind::GenAsm,
             error_fraction: 0.15,
             scoring: Scoring::bwa_mem(),
@@ -262,6 +229,11 @@ impl ReadOutcome {
     }
 }
 
+/// Phase-1 distance jobs built and scanned per engine call (see
+/// `resolve_two_phase`): each job owns a copy of its window and read,
+/// so slicing caps that memory at a few hundred KiB per batch.
+const DISTANCE_SLICE: usize = 1024;
+
 /// Per-read fault state accumulated while a batch runs: which reads
 /// were poisoned by a kernel panic and which were cut off by the
 /// deadline. Poisoning wins over dropping when both happen.
@@ -300,16 +272,20 @@ impl BatchFaults {
 pub struct StageTimings {
     /// Seeding time.
     pub seeding: Duration,
-    /// Pre-alignment filtering time.
+    /// Pre-alignment filtering time: every candidate in the sequential
+    /// path; only the fallback reads' candidates in the batch path.
     pub filtering: Duration,
     /// Phase-1 wall time: the distance-only candidate scans of the
     /// two-phase path. Zero in full mode and the sequential path.
     pub distance: Duration,
     /// Full-mode (TB-storing) alignment wall time: all of the align
-    /// step in full mode; only the per-read winners' alignments in
-    /// two-phase mode.
+    /// step in full mode; only the per-read winners' alignments (plus
+    /// verification and fallback re-runs) in two-phase mode.
     pub traceback: Duration,
-    /// Candidates examined, candidates surviving the filter.
+    /// Candidates examined, candidates kept. The sequential path keeps
+    /// the filter's survivors; the batch path keeps the candidates
+    /// whose phase-1 bound is within the budget (all of them in full
+    /// mode and for reads outside the certificate's ACGT domain).
     pub candidates: (usize, usize),
     /// Lock-step DC lane-slots `(issued, useful)` reported by the
     /// alignment engine — zero in the sequential path and under scalar
@@ -322,8 +298,9 @@ pub struct StageTimings {
     pub tb_rows: (u64, u64),
     /// Distance-only (phase-1) scans issued.
     pub distance_jobs: u64,
-    /// Full-mode alignments issued (every survivor in full mode; the
-    /// resolved winners plus verification re-runs in two-phase mode).
+    /// Full-mode alignments issued (every candidate in full mode; the
+    /// resolved winners plus verification and fallback re-runs in
+    /// two-phase mode).
     pub traceback_jobs: u64,
     /// Filter-stage Bitap row-slots `(issued, useful)` from the
     /// pre-alignment scans ([`genasm_core::bitap::ScanMetrics`]): the
@@ -331,37 +308,23 @@ pub struct StageTimings {
     /// so the filter's lane occupancy is a first-class, comparable
     /// figure. Reads over 64 bases scan on the multi-word fallback,
     /// whose exact recurrence-word volume counts as issued = useful
-    /// (occupancy 1.0 — a scalar scan pads nothing). Zero when the
-    /// GenASM filter is not selected. In cascade mode only tier-1
-    /// recurrence rows (and legacy-fallback scans) count here — the
-    /// tier-0 bailout issues no recurrence rows at all, which is the
-    /// cascade's headline row saving.
+    /// (occupancy 1.0 — a scalar scan pads nothing). In the batch path
+    /// only fallback reads issue filter rows.
     pub filter_rows: (u64, u64),
-    /// Candidates the cascade's tier-0 banded q-gram count rejected
-    /// before any recurrence row was issued. Zero in legacy mode.
+    /// Always 0: the filter cascade these counters described is gone.
+    /// Kept, with the five fields below, so the benchmark harness that
+    /// reads them compiles unchanged; they go when it stops reading
+    /// them.
     pub tier0_rejects: u64,
-    /// Candidates the cascade's tier-1 iterative-deepening occurrence
-    /// scan rejected (their occurrence distance exceeds the
-    /// threshold). Zero in legacy mode.
+    /// Always 0 (see [`tier0_rejects`](Self::tier0_rejects)).
     pub tier1_rejects: u64,
-    /// Candidates the cascade accepted with an exact tier-1 occurrence
-    /// distance (the bound the resolve stage reuses). Zero in legacy
-    /// mode.
+    /// Always 0 (see [`tier0_rejects`](Self::tier0_rejects)).
     pub cascade_accepts: u64,
-    /// Candidates the cascade routed to the legacy scalar scan because
-    /// their inputs fall outside the cascade's fast path (non-DNA
-    /// bytes, reads past the wide kernel's window limit). Their
-    /// decisions are the legacy scan's verbatim.
+    /// Always 0 (see [`tier0_rejects`](Self::tier0_rejects)).
     pub cascade_fallbacks: u64,
-    /// Contested candidates whose phase-1 distance job was answered
-    /// from the cascade's carried bound instead of being rescanned
-    /// (the engine's [`jobs_prefilled`](genasm_engine::BatchStats::jobs_prefilled)).
-    /// Zero in legacy mode and the sequential path.
+    /// Always 0 (see [`tier0_rejects`](Self::tier0_rejects)).
     pub bound_reuse_hits: u64,
-    /// Tier-0 probe volume: window grams inserted plus pattern grams
-    /// looked up, across all candidates tier 0 examined. The cascade's
-    /// cheap work, reported separately from `filter_rows` so the
-    /// recurrence-row saving stays directly comparable across modes.
+    /// Always 0 (see [`tier0_rejects`](Self::tier0_rejects)).
     pub tier0_probes: u64,
 }
 
@@ -377,8 +340,8 @@ impl StageTimings {
         self.distance + self.traceback
     }
 
-    /// Fraction of examined candidates the filter rejected (0 when no
-    /// candidate was examined).
+    /// Fraction of examined candidates not kept (0 when no candidate
+    /// was examined).
     pub fn reject_rate(&self) -> f64 {
         if self.candidates.0 == 0 {
             0.0
@@ -394,9 +357,9 @@ impl StageTimings {
     }
 
     /// Lane occupancy of the pre-alignment filter stage: useful
-    /// row-slots over issued, `None` when no filter rows ran
-    /// (non-GenASM filter). Exactly 1.0 when every pair scanned on
-    /// the pad-free multi-word fallback.
+    /// row-slots over issued, `None` when no filter rows ran. Exactly
+    /// 1.0 when every pair scanned on the pad-free multi-word
+    /// fallback.
     pub fn filter_occupancy(&self) -> Option<f64> {
         genasm_engine::lane_occupancy_ratio(self.filter_rows.0, self.filter_rows.1)
     }
@@ -417,43 +380,24 @@ impl StageTimings {
         self.traceback_jobs += other.traceback_jobs;
         self.filter_rows.0 += other.filter_rows.0;
         self.filter_rows.1 += other.filter_rows.1;
-        self.tier0_rejects += other.tier0_rejects;
-        self.tier1_rejects += other.tier1_rejects;
-        self.cascade_accepts += other.cascade_accepts;
-        self.cascade_fallbacks += other.cascade_fallbacks;
-        self.bound_reuse_hits += other.bound_reuse_hits;
-        self.tier0_probes += other.tier0_probes;
     }
 }
 
-/// One candidate position that survived the pre-alignment filter,
-/// with the bound the filter certified on the way through.
-#[derive(Debug, Clone, Copy)]
-struct Survivor {
-    /// Candidate position in the reference.
-    pos: usize,
-    /// The exact occurrence distance of the candidate when the
-    /// cascade's tier 1 resolved it (`None` on the legacy path and the
-    /// cascade's fallback candidates). A `Some` bound lets the resolve
-    /// stage answer the candidate's phase-1 distance job without
-    /// rescanning it.
-    bound: Option<usize>,
-}
-
-/// One oriented read after the batch path's fused seed-and-filter
-/// stage: its sequence, error budget, and the candidates that survived
-/// the pre-alignment filter (in seeder order), each with any bound the
-/// filter certified.
+/// One oriented read after the batch path's seed stage: its
+/// sequence, error budget and candidate positions (in seeder order),
+/// and whether the read and every candidate window are pure ACGT — the
+/// domain where the post-alignment certificate holds.
 struct Seeded {
     read: usize,
     reverse: bool,
     seq: Vec<u8>,
     budget: usize,
-    survivors: Vec<Survivor>,
+    positions: Vec<usize>,
+    acgt: bool,
 }
 
-/// One filter-surviving candidate in the batch path's flat candidate
-/// table: the coordinates both alignment phases and the resolution
+/// One candidate in the batch path's flat candidate table: the
+/// coordinates both alignment phases, the resolution and the fallback
 /// need. Engine job keys are indices into this table.
 struct Cand<'a> {
     read: usize,
@@ -461,33 +405,17 @@ struct Cand<'a> {
     pos: usize,
     seq: &'a [u8],
     budget: usize,
-    /// The filter's certified exact occurrence distance, when it
-    /// produced one (see [`Survivor::bound`]).
-    bound: Option<usize>,
 }
 
-/// Reusable buffers of the fused seed-and-filter stage, threaded
-/// alongside [`SeedScratch`] through every per-read call so the hot
-/// loop performs no per-candidate allocations: seeded candidates and
-/// their clamped positions, the cascade's packed window codes and
-/// per-tier scratch tables, and the per-candidate verdicts that keep
-/// survivors in seeder order while tier-1 decisions arrive batched.
+/// Reusable seeding buffers, threaded alongside [`SeedScratch`]
+/// through every per-read call so the hot loop performs no per-read
+/// allocations beyond its output.
 #[derive(Debug, Default)]
-struct FilterScratch {
+struct CandidateScratch {
     /// Raw seeder output of the current oriented read.
     raw: Vec<Candidate>,
     /// Clamped candidate positions of the current oriented read.
     positions: Vec<usize>,
-    /// 2-bit window codes of the candidate under tier-0 examination.
-    codes: Vec<u8>,
-    /// Tier-0 first/last gram-occurrence tables.
-    tier0: Tier0Scratch,
-    /// Tier-1 lock-step rolling rows and gathered text masks.
-    lanes: OccurrenceLaneScratch,
-    /// Per-candidate cascade verdicts (`None` = awaiting tier 1).
-    verdicts: Vec<Option<FilterVerdict>>,
-    /// Positions (indices into `positions`) awaiting tier 1.
-    pending: Vec<usize>,
 }
 
 /// Folds one engine batch's lane and traceback accounting into the
@@ -519,9 +447,9 @@ fn absorb_engine_stats(timings: &mut StageTimings, stats: &genasm_engine::BatchS
 pub struct ReadMapper {
     reference: Vec<u8>,
     index: ShardedIndex,
-    /// 2-bit packed copy of the reference for the cascade's tier-0
-    /// window-code probes (4 bases/byte; the index builds and drops
-    /// its own packing, so the mapper retains one for the filter).
+    /// 2-bit packed copy of the reference whose validity bitmap tells
+    /// which candidate windows are pure ACGT (the index builds and
+    /// drops its own packing, so the mapper retains one).
     packed: PackedRef,
     config: MapperConfig,
     telemetry: Telemetry,
@@ -545,9 +473,9 @@ impl ReadMapper {
     /// Attaches a telemetry handle: the pipeline records per-read
     /// end-to-end latencies into [`READ_LATENCY_HISTOGRAM`] and emits
     /// stage spans — the coordinator (trace tid 0) marks
-    /// seed_filter/distance/resolve/traceback, the batch seed workers
-    /// (tids `100 + worker`) mark each oriented read's seed and filter
-    /// scans. Share the same handle with the engine
+    /// seeding/distance/resolve/traceback/verify (plus filter/fallback
+    /// when a read falls back to the filter), the batch seed workers
+    /// (tids `100 + worker`) mark each oriented read's seed work. Share the same handle with the engine
     /// ([`Engine::with_telemetry`](genasm_engine::Engine::with_telemetry))
     /// to interleave the engine workers' claim/dc/tb/drain spans in
     /// one trace. The default handle is fully disabled and costs one
@@ -663,16 +591,16 @@ impl ReadMapper {
         let mut timings = StageTimings::default();
         let k = self.error_budget(read);
         let mut scratch = SeedScratch::default();
-        let mut fscratch = FilterScratch::default();
+        let mut cscratch = CandidateScratch::default();
         let surviving =
-            self.seed_and_filter(read, k, &mut timings, &mut scratch, &mut fscratch, spans);
+            self.seed_and_filter(read, k, &mut timings, &mut scratch, &mut cscratch, spans);
 
         let t2 = Instant::now();
         if let Some(s) = spans.as_mut() {
             s.begin("traceback");
         }
         let mut best: Option<Mapping> = None;
-        for Survivor { pos, .. } in surviving {
+        for pos in surviving {
             let region = self.region(pos, read.len(), k);
             let mapping = match self.config.aligner {
                 AlignerKind::GenAsm => {
@@ -741,24 +669,19 @@ impl ReadMapper {
     /// Batch mode: maps many reads through explicit stages instead of
     /// recursing read by read.
     ///
-    /// 1. **Seed + filter** — the batch's reads are sharded across the
-    ///    engine's worker count: each worker seeds a read (and, when
-    ///    configured, its reverse complement) against the sharded
-    ///    index — lookups are read-only over flat arrays — and
-    ///    immediately funnels that read's candidates through the
-    ///    pre-alignment filter (the GenASM filter's lock-step
-    ///    [`PreAlignmentFilter::accepts_many`] scan), so seeds stream
-    ///    into the filter without a full-batch barrier. Each read's
-    ///    candidate list is produced wholly by one worker and merged
-    ///    in read order, so results are deterministic and identical at
-    ///    any worker count.
-    /// 2. **Distance** (two-phase mode) — contested reads' survivors
+    /// 1. **Seed** — the batch's reads are sharded across the engine's
+    ///    worker count: each worker seeds a read (and, when configured,
+    ///    its reverse complement) against the sharded index — lookups
+    ///    are read-only over flat arrays. Each read's candidate list is
+    ///    produced wholly by one worker and merged in read order, so
+    ///    results are deterministic and identical at any worker count.
+    /// 2. **Distance** (two-phase mode) — contested reads' candidates
     ///    become key-tagged [`DistanceJob`]s and run the engine's
     ///    distance-only machinery ([`Engine::distance_batch_keyed`]):
-    ///    no row storage, no TB-SRAM, the persistent-lane occurrence
-    ///    stream under lock-step dispatch. Uncontested reads (a single
-    ///    survivor) skip the scan entirely — with one candidate there
-    ///    is nothing to resolve.
+    ///    no row storage, no TB-SRAM. Uncontested reads (a single
+    ///    candidate) skip the scan entirely — with one candidate there
+    ///    is nothing to resolve. A candidate whose bound exceeds the
+    ///    budget drops out here: the filter would reject it.
     /// 3. **Resolve** — per-read best resolution happens on the
     ///    distances, *before* any traceback, with deterministic
     ///    tie-breaking identical to the full path's ordering (lowest
@@ -772,23 +695,26 @@ impl ReadMapper {
     ///    windowed alignment's edit distance, one bounded verification
     ///    round — re-aligning any candidate whose bound still permits
     ///    beating the winners' realized distances, normally none —
-    ///    makes the final mappings provably identical to aligning
-    ///    everything.
+    ///    makes the selection provably identical to aligning every
+    ///    candidate within the budget.
+    /// 5. **Fallback** — a read whose best alignment overshoots the
+    ///    budget, or whose sequence or candidate windows hold a
+    ///    non-ACGT byte, runs the pre-alignment filter over its
+    ///    candidates within the bound, aligns the ones it accepts and
+    ///    picks again among them (see the [module docs](self)).
     ///
     /// In [`AlignMode::Full`] (and for the Gotoh aligner, which has no
     /// distance-only mode) stages 2–4 collapse into the single-phase
-    /// shape: every survivor aligns in full mode and resolution runs
-    /// on the complete results.
+    /// shape: every candidate aligns in full mode and resolution runs
+    /// on the complete results. Stage 5 runs unchanged.
     ///
     /// With an engine from [`Self::engine`] the selected mappings are
     /// bit-identical to [`map_read`](Self::map_read)'s for every
-    /// filter, aligner and align-mode combination. [`StageTimings`]
-    /// reports each stage's batch wall-clock time — the fused
-    /// seed-and-filter pass's wall time is split between `seeding` and
-    /// `filtering` in proportion to the workers' accumulated per-stage
-    /// busy time, and the align step's wall splits into `distance` and
-    /// `traceback` — plus the traceback volume (`tb_rows`) each mode
-    /// issued.
+    /// aligner and align-mode combination. [`StageTimings`] reports
+    /// each stage's batch wall-clock time — `filtering` is the
+    /// fallback's filter time, and the align step's wall splits into
+    /// `distance` and `traceback` — plus the traceback volume
+    /// (`tb_rows`) each mode issued.
     pub fn map_batch_with_engine(
         &self,
         reads: &[&[u8]],
@@ -859,38 +785,30 @@ impl ReadMapper {
             .is_enabled()
             .then(|| self.telemetry.tracer.buffer(0));
 
-        // Stage 1 — seed and filter every read, sharded across the
-        // engine's workers. The cancel token is checked at read-claim
+        // Stage 1 — seed every read, sharded across the engine's
+        // workers. The cancel token is checked at read-claim
         // boundaries: reads not yet claimed when it expires stay
         // unseeded and resolve to `Incomplete`.
         let t0 = Instant::now();
         if let Some(c) = coord.as_mut() {
-            c.begin("seed_filter");
+            c.begin("seeding");
         }
         let workers = engine.config().effective_workers(reads.len().max(1));
-        let (seeded, stage_busy, seeded_ok) = if workers <= 1 || reads.len() <= 1 {
-            let mut busy = StageTimings::default();
+        let (seeded, seeded_ok) = if workers <= 1 || reads.len() <= 1 {
             let mut scratch = SeedScratch::default();
-            let mut fscratch = FilterScratch::default();
+            let mut cscratch = CandidateScratch::default();
             let mut seeded = Vec::new();
             let mut ok = vec![false; reads.len()];
             for (idx, read) in reads.iter().enumerate() {
                 if cancel.as_ref().is_some_and(CancelToken::expired) {
                     break;
                 }
-                seeded.extend(self.seed_filter_read(
-                    idx,
-                    read,
-                    &mut busy,
-                    &mut scratch,
-                    &mut fscratch,
-                    &mut coord,
-                ));
+                seeded.extend(self.seed_read(idx, read, &mut scratch, &mut cscratch, &mut coord));
                 ok[idx] = true;
             }
-            (seeded, busy, ok)
+            (seeded, ok)
         } else {
-            self.seed_filter_parallel(reads, workers, cancel.as_ref())
+            self.seed_parallel(reads, workers, cancel.as_ref())
         };
         for (idx, &ok) in seeded_ok.iter().enumerate() {
             if !ok {
@@ -898,98 +816,162 @@ impl ReadMapper {
             }
         }
         if let Some(c) = coord.as_mut() {
-            c.end("seed_filter");
+            c.end("seeding");
         }
-        let stage_wall = t0.elapsed();
-        // Attribute the fused pass's wall time to the two stages in
-        // proportion to the workers' accumulated busy time, keeping
-        // `total()` equal to the pipeline's real wall clock.
-        let busy_total = stage_busy.seeding + stage_busy.filtering;
-        timings.seeding = if busy_total.is_zero() {
-            stage_wall
-        } else {
-            stage_wall.mul_f64(stage_busy.seeding.as_secs_f64() / busy_total.as_secs_f64())
-        };
-        timings.filtering = stage_wall.saturating_sub(timings.seeding);
-        timings.candidates = stage_busy.candidates;
-        timings.filter_rows = stage_busy.filter_rows;
-        timings.tier0_rejects = stage_busy.tier0_rejects;
-        timings.tier1_rejects = stage_busy.tier1_rejects;
-        timings.cascade_accepts = stage_busy.cascade_accepts;
-        timings.cascade_fallbacks = stage_busy.cascade_fallbacks;
-        timings.tier0_probes = stage_busy.tier0_probes;
+        timings.seeding = t0.elapsed();
 
-        // Flatten the survivors into one candidate table; engine keys
-        // are plain candidate indices, so results route back without a
-        // side table.
+        // Flatten the candidates into one table; engine keys are plain
+        // candidate indices, so results route back without a side
+        // table. Only reads inside the certificate's ACGT domain are
+        // resolved by alignment; the rest go straight to the fallback.
         let cands: Vec<Cand<'_>> = seeded
             .iter()
             .flat_map(|s| {
-                s.survivors.iter().map(|&Survivor { pos, bound }| Cand {
+                s.positions.iter().map(|&pos| Cand {
                     read: s.read,
                     reverse: s.reverse,
                     pos,
                     seq: &s.seq,
                     budget: s.budget,
-                    bound,
                 })
             })
             .collect();
+        let mut acgt = vec![true; reads.len()];
+        for s in &seeded {
+            acgt[s.read] &= s.acgt;
+        }
+        let live: Vec<usize> = (0..cands.len())
+            .filter(|&idx| acgt[cands[idx].read])
+            .collect();
         let mut best: Vec<Option<Mapping>> = vec![None; reads.len()];
 
+        // Each candidate's certified lower bound of its alignment's
+        // edit distance; 0 wherever no scan ran.
         let two_phase = self.config.align_mode == AlignMode::TwoPhase
             && self.config.aligner == AlignerKind::GenAsm;
-        if !two_phase {
-            // Single-phase: align every survivor in full mode.
-            // Time only the engine call, as `map_read` times only the
-            // aligner: the serial job copies must not dilute the
-            // multi-worker shrinkage of the stage wall.
-            let jobs = self.full_jobs(&cands, (0..cands.len()).collect());
-            let t2 = Instant::now();
-            if let Some(c) = coord.as_mut() {
-                c.begin("traceback");
-            }
-            let (keyed, align_stats) = engine.align_batch_keyed_with_stats(&jobs);
-            if let Some(c) = coord.as_mut() {
-                c.end("traceback");
-            }
-            timings.traceback = t2.elapsed();
-            timings.traceback_jobs = jobs.len() as u64;
-            absorb_engine_stats(&mut timings, &align_stats);
+        let bound = if two_phase {
+            self.resolve_two_phase(
+                &cands,
+                &live,
+                engine,
+                &mut timings,
+                &mut coord,
+                &mut best,
+                &mut faults,
+            )
+        } else {
+            // Single-phase: align every candidate in full mode.
+            let keyed =
+                self.align_stage(engine, &cands, live, "traceback", &mut timings, &mut coord);
             self.fold_keyed(&cands, keyed, &mut best, &mut faults);
-            return (self.assemble_outcomes(best, faults), timings);
-        }
+            vec![0; cands.len()]
+        };
+        timings.candidates = (
+            cands.len(),
+            (0..cands.len())
+                .filter(|&idx| bound[idx] <= cands[idx].budget)
+                .count(),
+        );
 
+        // Stage 5 — fallback: the filter decides, among the candidates
+        // within the bound, for every read the certificate does not
+        // cover. Faulted reads are left as they are.
+        let fallback: Vec<bool> = (0..reads.len())
+            .map(|read| {
+                !faults.is_faulted(read)
+                    && (!acgt[read]
+                        || best[read]
+                            .as_ref()
+                            .is_some_and(|m| m.edit_distance > self.error_budget(reads[read])))
+            })
+            .collect();
+        for (slot, &redo) in best.iter_mut().zip(&fallback) {
+            if redo {
+                *slot = None;
+            }
+        }
+        let pending: Vec<usize> = (0..cands.len())
+            .filter(|&idx| fallback[cands[idx].read] && bound[idx] <= cands[idx].budget)
+            .collect();
+        if !pending.is_empty() {
+            let t = Instant::now();
+            if let Some(c) = coord.as_mut() {
+                c.begin("filter");
+            }
+            let mut rows = ScanMetrics::default();
+            let mut accepted = Vec::new();
+            // Candidates of one oriented read are contiguous and share
+            // its pattern and budget.
+            for group in pending.chunk_by(|&a, &b| {
+                cands[a].read == cands[b].read && cands[a].reverse == cands[b].reverse
+            }) {
+                let c = &cands[group[0]];
+                let positions: Vec<usize> = group.iter().map(|&idx| cands[idx].pos).collect();
+                let keep = self.filter_keeps(c.seq, c.budget, &positions, &mut rows);
+                accepted.extend(
+                    group
+                        .iter()
+                        .zip(keep)
+                        .filter_map(|(&idx, k)| k.then_some(idx)),
+                );
+            }
+            if let Some(c) = coord.as_mut() {
+                c.end("filter");
+            }
+            timings.filtering = t.elapsed();
+            timings.filter_rows = (rows.rows_issued, rows.rows_useful);
+            let keyed = self.align_stage(
+                engine,
+                &cands,
+                accepted,
+                "fallback",
+                &mut timings,
+                &mut coord,
+            );
+            self.fold_keyed(&cands, keyed, &mut best, &mut faults);
+        }
+        (self.assemble_outcomes(best, faults), timings)
+    }
+
+    /// Stages 2–4 of the two-phase path over the `live` candidates:
+    /// phase-1 distances, per-read resolution, traceback of the winners
+    /// and the verification round, folded into the per-read `best`
+    /// mappings and `faults`. Returns every candidate's bound (0 where
+    /// no scan ran).
+    #[allow(clippy::too_many_arguments)]
+    fn resolve_two_phase(
+        &self,
+        cands: &[Cand<'_>],
+        live: &[usize],
+        engine: &Engine,
+        timings: &mut StageTimings,
+        coord: &mut Option<SpanBuffer>,
+        best: &mut [Option<Mapping>],
+        faults: &mut BatchFaults,
+    ) -> Vec<usize> {
         // Stage 2 — distance-only scans (phase 1). Only contested
-        // reads need them: a read with a single filter survivor has no
+        // reads need them: a read with a single candidate has no
         // resolution to run, so its candidate goes straight to
         // traceback (bound 0, trivially a lower bound).
-        let mut cand_count = vec![0usize; reads.len()];
-        for c in &cands {
-            cand_count[c.read] += 1;
-        }
         let mut bound = vec![0usize; cands.len()];
-        let contested: Vec<usize> = (0..cands.len())
+        let mut cand_count = vec![0usize; best.len()];
+        for &idx in live {
+            cand_count[cands[idx].read] += 1;
+        }
+        let contested: Vec<usize> = live
+            .iter()
+            .copied()
             .filter(|&idx| cand_count[cands[idx].read] > 1)
             .collect();
-        if !contested.is_empty() {
-            // A candidate carrying the cascade's exact occurrence
-            // distance is answered from that bound without touching
-            // the worker pool — its window was already scanned once by
-            // tier 1 and is never scanned twice.
-            let djobs: Vec<DistanceJob> = contested
+        // Phase-1 jobs own copies of their window and read, so they are
+        // built and scanned a slice at a time to bound that memory.
+        for slice in contested.chunks(DISTANCE_SLICE) {
+            let djobs: Vec<DistanceJob> = slice
                 .iter()
                 .map(|&idx| {
                     let c = &cands[idx];
-                    match c.bound {
-                        Some(d) => DistanceJob::prefilled(d),
-                        None => DistanceJob::new(
-                            self.region(c.pos, c.seq.len(), c.budget),
-                            c.seq,
-                            c.budget,
-                        ),
-                    }
-                    .with_key(idx as u64)
+                    DistanceJob::new(self.region(c.pos, c.seq.len(), c.budget), c.seq, c.budget)
+                        .with_key(idx as u64)
                 })
                 .collect();
             // Time only the engine call, as in full mode: the serial
@@ -1003,15 +985,13 @@ impl ReadMapper {
             if let Some(c) = coord.as_mut() {
                 c.end("distance");
             }
-            timings.distance = t2.elapsed();
-            timings.distance_jobs = djobs.len() as u64;
-            timings.bound_reuse_hits = dstats.jobs_prefilled;
-            absorb_engine_stats(&mut timings, &dstats);
-            // Each candidate's `bound` is a certified lower bound of
-            // its full alignment's edit distance: the scanned
-            // distance, `k + 1` when the scan exhausted its budget,
-            // and 0 (align unconditionally) when the scan failed. A
-            // panicked or cancelled scan additionally faults its read.
+            timings.distance += t2.elapsed();
+            timings.distance_jobs += djobs.len() as u64;
+            absorb_engine_stats(timings, &dstats);
+            // The scanned distance, `k + 1` when the scan exhausted its
+            // budget, and 0 (align unconditionally) when the scan
+            // failed. A panicked or cancelled scan additionally faults
+            // its read.
             for kd in &distances {
                 let idx = kd.key as usize;
                 bound[idx] = match &kd.result {
@@ -1030,81 +1010,88 @@ impl ReadMapper {
             }
         }
 
-        // Stage 3 — per-read best resolution on the bounds.
+        // Stage 3 — per-read best resolution on the bounds. A bound
+        // past the budget certifies no occurrence within it, so the
+        // candidate is out. Faulted reads' candidates are dropped too:
+        // a poisoned read is no longer provably resolvable and a
+        // deadline-dropped one would only be cancelled again, so
+        // neither spends traceback work.
         if let Some(c) = coord.as_mut() {
             c.begin("resolve");
         }
-        let mut min_bound = vec![usize::MAX; reads.len()];
-        for (idx, c) in cands.iter().enumerate() {
-            min_bound[c.read] = min_bound[c.read].min(bound[idx]);
-        }
-        // Faulted reads' candidates are dropped here: a poisoned read
-        // is no longer provably resolvable and a deadline-dropped one
-        // would only be cancelled again, so neither spends traceback
-        // work. On a fault-free run no read is faulted and the winner
-        // set is exactly the unfiltered one.
-        let winners: Vec<usize> = (0..cands.len())
-            .filter(|&idx| {
-                bound[idx] == min_bound[cands[idx].read] && !faults.is_faulted(cands[idx].read)
-            })
+        let contending: Vec<usize> = live
+            .iter()
+            .copied()
+            .filter(|&idx| bound[idx] <= cands[idx].budget && !faults.is_faulted(cands[idx].read))
             .collect();
+        let mut min_bound = vec![usize::MAX; best.len()];
+        for &idx in &contending {
+            let read = cands[idx].read;
+            min_bound[read] = min_bound[read].min(bound[idx]);
+        }
+        let (winners, rest): (Vec<usize>, Vec<usize>) = contending
+            .into_iter()
+            .partition(|&idx| bound[idx] == min_bound[cands[idx].read]);
         if let Some(c) = coord.as_mut() {
             c.end("resolve");
         }
 
         // Stage 4 — traceback: full-mode alignment of the winners
         // only.
-        let mut aligned = vec![false; cands.len()];
-        for &idx in &winners {
-            aligned[idx] = true;
-        }
-        let winner_jobs = self.full_jobs(&cands, winners);
-        let t3 = Instant::now();
-        if let Some(c) = coord.as_mut() {
-            c.begin("traceback");
-        }
-        let (keyed, align_stats) = engine.align_batch_keyed_with_stats(&winner_jobs);
-        if let Some(c) = coord.as_mut() {
-            c.end("traceback");
-        }
-        timings.traceback = t3.elapsed();
-        timings.traceback_jobs = winner_jobs.len() as u64;
-        absorb_engine_stats(&mut timings, &align_stats);
-        self.fold_keyed(&cands, keyed, &mut best, &mut faults);
+        let keyed = self.align_stage(engine, cands, winners, "traceback", timings, coord);
+        self.fold_keyed(cands, keyed, best, faults);
 
         // Verification round: a winner's realized distance can exceed
         // its bound (the windowed walk is a heuristic), so re-align any
         // candidate whose lower bound still permits beating — or
         // tying — the realized best. Unaligned candidates then satisfy
-        // `E(c) >= bound(c) > realized best`, which proves the final
-        // selection identical to aligning every survivor. On realistic
-        // workloads bounds are exact and this round is empty.
-        let verify: Vec<usize> = (0..cands.len())
+        // `E(c) >= bound(c) > realized best`, which proves the
+        // selection identical to aligning every candidate. On
+        // realistic workloads bounds are exact and this round is empty.
+        let verify: Vec<usize> = rest
+            .into_iter()
             .filter(|&idx| {
-                !aligned[idx]
-                    && !faults.is_faulted(cands[idx].read)
-                    && bound[idx]
-                        <= best[cands[idx].read]
-                            .as_ref()
-                            .map_or(usize::MAX, |b| b.edit_distance)
+                let read = cands[idx].read;
+                !faults.is_faulted(read)
+                    && bound[idx] <= best[read].as_ref().map_or(usize::MAX, |b| b.edit_distance)
             })
             .collect();
-        if !verify.is_empty() {
-            let verify_jobs = self.full_jobs(&cands, verify);
-            let t4 = Instant::now();
-            if let Some(c) = coord.as_mut() {
-                c.begin("verify");
-            }
-            let (keyed, verify_stats) = engine.align_batch_keyed_with_stats(&verify_jobs);
-            if let Some(c) = coord.as_mut() {
-                c.end("verify");
-            }
-            timings.traceback += t4.elapsed();
-            timings.traceback_jobs += verify_jobs.len() as u64;
-            absorb_engine_stats(&mut timings, &verify_stats);
-            self.fold_keyed(&cands, keyed, &mut best, &mut faults);
+        let keyed = self.align_stage(engine, cands, verify, "verify", timings, coord);
+        self.fold_keyed(cands, keyed, best, faults);
+        bound
+    }
+
+    /// Aligns the given candidates in full mode on `engine` under the
+    /// coordinator span `span`, charging the engine call's wall time
+    /// and volume to the traceback stage. Only the engine call is
+    /// timed, as `map_read` times only the aligner: the serial job
+    /// copies must not dilute the multi-worker shrinkage of the stage
+    /// wall.
+    fn align_stage(
+        &self,
+        engine: &Engine,
+        cands: &[Cand<'_>],
+        indices: Vec<usize>,
+        span: &'static str,
+        timings: &mut StageTimings,
+        coord: &mut Option<SpanBuffer>,
+    ) -> Vec<KeyedResult> {
+        if indices.is_empty() {
+            return Vec::new();
         }
-        (self.assemble_outcomes(best, faults), timings)
+        let jobs = self.full_jobs(cands, indices);
+        let t = Instant::now();
+        if let Some(c) = coord.as_mut() {
+            c.begin(span);
+        }
+        let (keyed, stats) = engine.align_batch_keyed_with_stats(&jobs);
+        if let Some(c) = coord.as_mut() {
+            c.end(span);
+        }
+        timings.traceback += t.elapsed();
+        timings.traceback_jobs += jobs.len() as u64;
+        absorb_engine_stats(timings, &stats);
+        keyed
     }
 
     /// Folds the per-read mappings and fault state into final
@@ -1219,17 +1206,16 @@ impl ReadMapper {
         (seq.len() as f64 * self.config.error_fraction).ceil() as usize
     }
 
-    /// Stages 1–2 for one read of a batch: both orientations seeded and
-    /// filtered, candidate work shared with the sequential path via
-    /// [`seed_and_filter`](Self::seed_and_filter) so the two shapes can
-    /// never diverge.
-    fn seed_filter_read(
+    /// Stage 1 for one read of a batch: both orientations seeded, with
+    /// candidate work shared with the sequential path via
+    /// [`clamped_candidates`](Self::clamped_candidates) so the two
+    /// shapes can never diverge.
+    fn seed_read(
         &self,
         read_idx: usize,
         read: &[u8],
-        timings: &mut StageTimings,
         scratch: &mut SeedScratch,
-        fscratch: &mut FilterScratch,
+        cscratch: &mut CandidateScratch,
         spans: &mut Option<SpanBuffer>,
     ) -> Vec<Seeded> {
         let mut out = Vec::with_capacity(1 + usize::from(self.config.both_strands));
@@ -1238,38 +1224,48 @@ impl ReadMapper {
             oriented.push((reverse_complement(read), true));
         }
         for (seq, reverse) in oriented {
+            if let Some(s) = spans.as_mut() {
+                s.begin("seed");
+            }
             let budget = self.error_budget(&seq);
-            let survivors = self.seed_and_filter(&seq, budget, timings, scratch, fscratch, spans);
+            self.clamped_candidates(&seq, scratch, cscratch);
+            let acgt = seq.iter().all(|&b| Dna::index(b).is_some())
+                && cscratch
+                    .positions
+                    .iter()
+                    .all(|&pos| self.packed.is_acgt(pos, seq.len() + budget));
+            if let Some(s) = spans.as_mut() {
+                s.end("seed");
+            }
             out.push(Seeded {
                 read: read_idx,
                 reverse,
+                positions: cscratch.positions.clone(),
                 seq,
                 budget,
-                survivors,
+                acgt,
             });
         }
         out
     }
 
-    /// The batch seed-and-filter stage sharded across `workers` scoped
-    /// threads. Reads are claimed from an atomic cursor; each read is
-    /// processed wholly by one worker and the per-read outputs are
-    /// merged back in read order, so the result is identical at any
-    /// worker count. The cancel token is checked at each read claim:
-    /// workers stop claiming once it expires, leaving the remaining
-    /// reads unseeded. Returns the seeded reads, the workers'
-    /// accumulated busy timings (seeding/filtering sums and candidate
-    /// counters), and a per-read flag of which reads were seeded.
-    fn seed_filter_parallel(
+    /// The batch seed stage sharded across `workers` scoped threads.
+    /// Reads are claimed from an atomic cursor; each read is processed
+    /// wholly by one worker and the per-read outputs are merged back in
+    /// read order, so the result is identical at any worker count. The
+    /// cancel token is checked at each read claim: workers stop
+    /// claiming once it expires, leaving the remaining reads unseeded.
+    /// Returns the seeded reads and a per-read flag of which reads were
+    /// seeded.
+    fn seed_parallel(
         &self,
         reads: &[&[u8]],
         workers: usize,
         cancel: Option<&CancelToken>,
-    ) -> (Vec<Seeded>, StageTimings, Vec<bool>) {
+    ) -> (Vec<Seeded>, Vec<bool>) {
         let cursor = AtomicUsize::new(0);
         let mut slots: Vec<Option<Vec<Seeded>>> = Vec::new();
         slots.resize_with(reads.len(), || None);
-        let mut busy = StageTimings::default();
         std::thread::scope(|scope| {
             let handles: Vec<_> = (0..workers)
                 .map(|worker| {
@@ -1283,8 +1279,7 @@ impl ReadMapper {
                             .is_enabled()
                             .then(|| tracer.buffer(100 + worker as u32));
                         let mut scratch = SeedScratch::default();
-                        let mut fscratch = FilterScratch::default();
-                        let mut local = StageTimings::default();
+                        let mut cscratch = CandidateScratch::default();
                         let mut produced: Vec<(usize, Vec<Seeded>)> = Vec::new();
                         loop {
                             if cancel.is_some_and(CancelToken::expired) {
@@ -1296,24 +1291,21 @@ impl ReadMapper {
                             }
                             produced.push((
                                 idx,
-                                self.seed_filter_read(
+                                self.seed_read(
                                     idx,
                                     reads[idx],
-                                    &mut local,
                                     &mut scratch,
-                                    &mut fscratch,
+                                    &mut cscratch,
                                     &mut spans,
                                 ),
                             ));
                         }
-                        (produced, local)
+                        produced
                     })
                 })
                 .collect();
             for handle in handles {
-                let (produced, local) = handle.join().expect("seed worker panicked");
-                busy.accumulate(&local);
-                for (idx, seeded) in produced {
+                for (idx, seeded) in handle.join().expect("seed worker panicked") {
                     slots[idx] = Some(seeded);
                 }
             }
@@ -1326,250 +1318,83 @@ impl ReadMapper {
                 seeded.extend(s);
             }
         }
-        (seeded, busy, seeded_ok)
+        (seeded, seeded_ok)
     }
 
-    /// Pipeline steps 1–2 for one oriented read: seeding, then the
-    /// configured pre-alignment filter. Returns the surviving
-    /// candidates (positions clamped into the reference, plus any
-    /// bound the filter certified) and accumulates stage timings and
-    /// candidate counters. Shared by the sequential and engine-batched
-    /// paths so their candidate sets can never diverge.
-    ///
-    /// The GenASM filter's two execution modes accept bit-identical
-    /// candidate sets: the default escalating cascade
-    /// ([`filter_cascade`](Self::filter_cascade)) and the flat
-    /// lock-step scan ([`filter_legacy`](Self::filter_legacy)).
+    /// Pipeline steps 1–2 of the sequential path for one oriented read:
+    /// seeding, then the GenASM-DC pre-alignment filter. Returns the
+    /// surviving candidate positions (clamped into the reference) and
+    /// accumulates stage timings and candidate counters.
     fn seed_and_filter(
         &self,
         seq: &[u8],
         k: usize,
         timings: &mut StageTimings,
         scratch: &mut SeedScratch,
-        fscratch: &mut FilterScratch,
+        cscratch: &mut CandidateScratch,
         spans: &mut Option<SpanBuffer>,
-    ) -> Vec<Survivor> {
+    ) -> Vec<usize> {
         let t0 = Instant::now();
         if let Some(s) = spans.as_mut() {
             s.begin("seed");
         }
-        self.clamped_candidates(seq, scratch, fscratch);
+        self.clamped_candidates(seq, scratch, cscratch);
         if let Some(s) = spans.as_mut() {
             s.end("seed");
         }
         timings.seeding += t0.elapsed();
-        timings.candidates.0 += fscratch.positions.len();
+        timings.candidates.0 += cscratch.positions.len();
 
         let t1 = Instant::now();
         if let Some(s) = spans.as_mut() {
             s.begin("filter");
         }
-        let surviving: Vec<Survivor> = match (self.config.filter, self.config.filter_mode) {
-            (FilterKind::GenAsm, FilterMode::Cascade) => {
-                self.filter_cascade(seq, k, timings, fscratch)
-            }
-            (FilterKind::GenAsm, FilterMode::Legacy) => {
-                self.filter_legacy(seq, k, timings, fscratch)
-            }
-            (FilterKind::Shouji, _) => self.filter_shouji(seq, k, timings, fscratch),
-            (FilterKind::None, _) => fscratch
-                .positions
-                .iter()
-                .map(|&pos| Survivor { pos, bound: None })
-                .collect(),
-        };
+        let mut rows = ScanMetrics::default();
+        let keep = self.filter_keeps(seq, k, &cscratch.positions, &mut rows);
+        let surviving: Vec<usize> = cscratch
+            .positions
+            .iter()
+            .zip(keep)
+            .filter_map(|(&pos, k)| k.then_some(pos))
+            .collect();
         if let Some(s) = spans.as_mut() {
             s.end("filter");
         }
         timings.filtering += t1.elapsed();
+        timings.filter_rows.0 += rows.rows_issued;
+        timings.filter_rows.1 += rows.rows_useful;
         timings.candidates.1 += surviving.len();
         surviving
     }
 
-    /// The flat lock-step GenASM filter (legacy mode): every candidate
-    /// pays the full `k + 1` recurrence rows of the batched Bitap scan.
-    /// Candidates stream through in stack groups of [`SCAN_LANES`] —
-    /// the batch kernel's own grouping, since all of a read's pairs
-    /// share its pattern and are therefore uniformly lock-step-eligible
-    /// or uniformly scalar — so decisions *and* row accounting are
-    /// identical to the old whole-read pairs table, without building
-    /// it.
-    fn filter_legacy(
+    /// The GenASM-DC pre-alignment filter over one oriented read's
+    /// candidate positions: one keep flag per position. Candidates
+    /// stream through in stack groups of [`SCAN_LANES`] — the batch
+    /// kernel's own grouping, since all of a read's pairs share its
+    /// pattern and are therefore uniformly lock-step-eligible or
+    /// uniformly scalar.
+    fn filter_keeps(
         &self,
         seq: &[u8],
         k: usize,
-        timings: &mut StageTimings,
-        fscratch: &mut FilterScratch,
-    ) -> Vec<Survivor> {
+        positions: &[usize],
+        rows: &mut ScanMetrics,
+    ) -> Vec<bool> {
         let filter = PreAlignmentFilter::new(k);
-        let mut rows = ScanMetrics::default();
-        let mut surviving = Vec::new();
-        for chunk in fscratch.positions.chunks(SCAN_LANES) {
+        let mut keep = Vec::with_capacity(positions.len());
+        for chunk in positions.chunks(SCAN_LANES) {
             let mut group: [(&[u8], &[u8]); SCAN_LANES] = [(&[], &[]); SCAN_LANES];
             for (slot, &pos) in group.iter_mut().zip(chunk) {
                 *slot = (self.region(pos, seq.len(), k), seq);
             }
-            let decisions = filter.accepts_many_counted(&group[..chunk.len()], &mut rows);
-            for (&pos, decision) in chunk.iter().zip(decisions) {
-                if decision.unwrap_or(false) {
-                    surviving.push(Survivor { pos, bound: None });
-                }
-            }
+            keep.extend(
+                filter
+                    .accepts_many_counted(&group[..chunk.len()], rows)
+                    .into_iter()
+                    .map(|decision| decision.unwrap_or(false)),
+            );
         }
-        timings.filter_rows.0 += rows.rows_issued;
-        timings.filter_rows.1 += rows.rows_useful;
-        surviving
-    }
-
-    /// The escalating filter cascade (default mode): tier 0 rejects
-    /// candidates from a banded q-gram count over the packed reference
-    /// before any recurrence row is issued; tier-0 survivors run the
-    /// iterative-deepening lock-step occurrence scan, whose exact
-    /// distance becomes the accepted candidate's carried bound.
-    /// Accepts exactly the candidates [`filter_legacy`](Self::filter_legacy)
-    /// accepts: tier 0 is a proven-sound bailout, tier 1 computes the
-    /// same occurrence decision as the flat scan, and inputs outside
-    /// the cascade's fast path (non-DNA bytes, reads past the wide
-    /// kernel's window limit) replay the legacy scan verbatim.
-    fn filter_cascade(
-        &self,
-        seq: &[u8],
-        k: usize,
-        timings: &mut StageTimings,
-        fscratch: &mut FilterScratch,
-    ) -> Vec<Survivor> {
-        let pattern = (seq.len() <= MAX_WIDE_WINDOW)
-            .then(|| CascadePattern::new(seq).ok())
-            .flatten();
-        let FilterScratch {
-            positions,
-            codes,
-            tier0,
-            lanes,
-            verdicts,
-            pending,
-            ..
-        } = fscratch;
-        verdicts.clear();
-        verdicts.resize(positions.len(), None);
-        pending.clear();
-        let filter = PreAlignmentFilter::new(k);
-        let mut rows = ScanMetrics::default();
-
-        // Tier 0 — cheap bailout per candidate, no recurrence rows.
-        for (idx, &pos) in positions.iter().enumerate() {
-            let window = self.region(pos, seq.len(), k);
-            verdicts[idx] = match &pattern {
-                Some(p) => {
-                    codes.clear();
-                    if self.packed.window_codes_into(pos, window.len(), codes) {
-                        timings.tier0_probes += tier0_probes(window.len(), p);
-                        if tier0_rejects(codes, p, k, tier0) {
-                            timings.tier0_rejects += 1;
-                            Some(FilterVerdict::Rejected)
-                        } else {
-                            pending.push(idx);
-                            None
-                        }
-                    } else {
-                        // A non-DNA byte inside the window: the legacy
-                        // scan's lazy text validation may still accept
-                        // before reaching it, so replay it exactly.
-                        timings.cascade_fallbacks += 1;
-                        Some(legacy_verdict(&filter, window, seq, &mut rows))
-                    }
-                }
-                // Invalid or over-wide read: every candidate takes the
-                // legacy path.
-                None => {
-                    timings.cascade_fallbacks += 1;
-                    Some(legacy_verdict(&filter, window, seq, &mut rows))
-                }
-            };
-        }
-
-        // Tier 1 — iterative-deepening occurrence distance for the
-        // contenders, in lock-step lanes. A candidate resolving at
-        // distance `d` pays `d + 1` recurrence rows instead of the
-        // flat scan's `k + 1`.
-        if !pending.is_empty() {
-            let p = pattern.as_ref().expect("pending implies a valid pattern");
-            let jobs: Vec<OccurrenceLaneJob<'_, Dna>> = pending
-                .iter()
-                .map(|&idx| OccurrenceLaneJob {
-                    text: self.region(positions[idx], seq.len(), k),
-                    pattern: p.masks(),
-                    k,
-                })
-                .collect();
-            let results = occurrence_distance_lanes::<Dna>(&jobs, lanes, &mut rows);
-            for (&idx, result) in pending.iter().zip(results) {
-                verdicts[idx] = Some(match result {
-                    Ok(Some(d)) => {
-                        timings.cascade_accepts += 1;
-                        FilterVerdict::Accepted {
-                            lower_bound: d,
-                            exact: true,
-                        }
-                    }
-                    // `Ok(None)`: the occurrence distance exceeds the
-                    // threshold. Errors cannot reach here (inputs were
-                    // validated above); they map to the legacy reject
-                    // convention defensively.
-                    Ok(None) | Err(_) => {
-                        timings.tier1_rejects += 1;
-                        FilterVerdict::Rejected
-                    }
-                });
-            }
-        }
-        timings.filter_rows.0 += rows.rows_issued;
-        timings.filter_rows.1 += rows.rows_useful;
-
-        positions
-            .iter()
-            .zip(verdicts.iter())
-            .filter_map(
-                |(&pos, verdict)| match verdict.expect("every candidate holds a verdict") {
-                    FilterVerdict::Accepted { lower_bound, exact } => Some(Survivor {
-                        pos,
-                        bound: exact.then_some(lower_bound),
-                    }),
-                    FilterVerdict::Rejected => None,
-                },
-            )
-            .collect()
-    }
-
-    /// The Shouji baseline filter, batched through
-    /// [`ShoujiFilter::accepts_many_counted`] so its neighborhood-map
-    /// work volume lands in `filter_rows` (and the occupancy figures)
-    /// like the GenASM scans' instead of bypassing the accounting.
-    fn filter_shouji(
-        &self,
-        seq: &[u8],
-        k: usize,
-        timings: &mut StageTimings,
-        fscratch: &mut FilterScratch,
-    ) -> Vec<Survivor> {
-        let filter = ShoujiFilter::new(k);
-        let mut rows = ScanMetrics::default();
-        let mut surviving = Vec::new();
-        for chunk in fscratch.positions.chunks(SCAN_LANES) {
-            let mut group: [(&[u8], &[u8]); SCAN_LANES] = [(&[], &[]); SCAN_LANES];
-            for (slot, &pos) in group.iter_mut().zip(chunk) {
-                *slot = (self.region(pos, seq.len(), k), seq);
-            }
-            let decisions = filter.accepts_many_counted(&group[..chunk.len()], &mut rows);
-            for (&pos, accept) in chunk.iter().zip(decisions) {
-                if accept {
-                    surviving.push(Survivor { pos, bound: None });
-                }
-            }
-        }
-        timings.filter_rows.0 += rows.rows_issued;
-        timings.filter_rows.1 += rows.rows_useful;
-        surviving
+        keep
     }
 
     /// Seeding for one oriented read: candidate positions in seeder
@@ -1580,14 +1405,14 @@ impl ReadMapper {
         &self,
         seq: &[u8],
         scratch: &mut SeedScratch,
-        fscratch: &mut FilterScratch,
+        cscratch: &mut CandidateScratch,
     ) {
         self.config
             .seeder
-            .candidates_into(&self.index, seq, scratch, &mut fscratch.raw);
-        fscratch.positions.clear();
-        fscratch.positions.extend(
-            fscratch
+            .candidates_into(&self.index, seq, scratch, &mut cscratch.raw);
+        cscratch.positions.clear();
+        cscratch.positions.extend(
+            cscratch
                 .raw
                 .iter()
                 .map(|c| c.position.min(self.reference.len().saturating_sub(1))),
@@ -1599,31 +1424,6 @@ impl ReadMapper {
     fn region(&self, pos: usize, m: usize, k: usize) -> &[u8] {
         let end = (pos + m + k).min(self.reference.len());
         &self.reference[pos..end]
-    }
-}
-
-/// One candidate's decision on the legacy scalar path — used by the
-/// cascade for inputs its fast path cannot serve — with the legacy row
-/// accounting, wrapped as a cascade verdict. No bound is certified:
-/// the legacy scan early-exits without computing the distance.
-fn legacy_verdict(
-    filter: &PreAlignmentFilter,
-    window: &[u8],
-    seq: &[u8],
-    rows: &mut ScanMetrics,
-) -> FilterVerdict {
-    let accept = filter
-        .accepts_many_counted(&[(window, seq)], rows)
-        .pop()
-        .expect("one decision per pair")
-        .unwrap_or(false);
-    if accept {
-        FilterVerdict::Accepted {
-            lower_bound: 0,
-            exact: false,
-        }
-    } else {
-        FilterVerdict::Rejected
     }
 }
 
@@ -1764,13 +1564,6 @@ mod tests {
         let (batch, timings) = mapper.map_batch_with_engine(&refs, &engine);
         assert_eq!(batch.len(), reads.len());
         assert!(timings.candidates.0 >= timings.candidates.1);
-        // The workers' filter row-slot accounting must survive the
-        // busy-time merge into the batch timings.
-        assert!(
-            timings.filter_rows.0 > 0,
-            "batch path dropped filter row accounting"
-        );
-        assert!(timings.filter_occupancy().is_some());
 
         for (read, got) in refs.iter().zip(&batch) {
             let (want, _) = mapper.map_read(read);
@@ -1784,96 +1577,59 @@ mod tests {
     #[test]
     fn filter_rows_are_counted_and_occupancy_is_sane() {
         let reference = genome();
-        let legacy_config = MapperConfig {
-            filter_mode: FilterMode::Legacy,
-            ..MapperConfig::default()
-        };
-        let legacy = ReadMapper::build(&reference, legacy_config);
+        let mapper = ReadMapper::build(&reference, MapperConfig::default());
         // Lock-step filter lanes require single-word reads (<= 64
         // bases); the padding gap only exists on this path.
-        let read = &reference[12_000..12_060];
-        let (_, timings) = legacy.map_read(read);
+        let (_, timings) = mapper.map_read(&reference[12_000..12_060]);
         let (issued, useful) = timings.filter_rows;
         assert!(issued > 0, "the GenASM filter must issue lock-step rows");
         assert!(useful > 0 && useful <= issued);
         let occ = timings.filter_occupancy().expect("rows ran");
         assert!(occ > 0.0 && occ <= 1.0, "occupancy {occ}");
-        // Legacy mode issues no cascade work.
-        assert_eq!(timings.tier0_probes, 0);
-        assert_eq!(timings.tier0_rejects + timings.tier1_rejects, 0);
-        // A non-lock-step filter reports no rows, and occupancy stays
-        // None instead of dividing by zero.
-        let none = ReadMapper::build(
-            &reference,
-            MapperConfig {
-                filter: FilterKind::None,
-                ..MapperConfig::default()
-            },
-        );
-        let (_, timings) = none.map_read(read);
-        assert_eq!(timings.filter_rows, (0, 0));
-        assert!(timings.filter_occupancy().is_none());
-        // In legacy mode long reads fall back to the scalar multi-word
-        // scan pair by pair: exact word volume, fully useful
-        // (occupancy 1.0).
-        let (_, legacy_timings) = legacy.map_read(&reference[12_000..12_150]);
-        let (issued, useful) = legacy_timings.filter_rows;
+        // Long reads fall back to the scalar multi-word scan pair by
+        // pair: exact word volume, fully useful (occupancy 1.0).
+        let (_, timings) = mapper.map_read(&reference[12_000..12_150]);
+        let (issued, useful) = timings.filter_rows;
         assert!(issued > 0, "multi-word fallback rows must be counted");
         assert_eq!(useful, issued);
-        assert_eq!(legacy_timings.filter_occupancy(), Some(1.0));
-
-        // The cascade examines the same candidates but issues far
-        // fewer recurrence rows: tier 0 kills decoys before any row
-        // and tier 1 deepens only to each survivor's distance.
-        let cascade = ReadMapper::build(&reference, MapperConfig::default());
-        let (_, cascade_timings) = cascade.map_read(&reference[12_000..12_150]);
-        assert_eq!(
-            cascade_timings.candidates.1, legacy_timings.candidates.1,
-            "both modes must accept the same candidates"
-        );
-        assert!(
-            cascade_timings.cascade_accepts > 0,
-            "an exact read's candidates must resolve in tier 1"
-        );
-        assert_eq!(cascade_timings.cascade_fallbacks, 0);
-        assert!(cascade_timings.tier0_probes > 0);
-        assert!(
-            cascade_timings.filter_rows.0 < legacy_timings.filter_rows.0,
-            "cascade rows {} must undercut legacy rows {}",
-            cascade_timings.filter_rows.0,
-            legacy_timings.filter_rows.0,
-        );
+        assert_eq!(timings.filter_occupancy(), Some(1.0));
+        // With no filter rows, occupancy stays None instead of dividing
+        // by zero.
+        assert!(StageTimings::default().filter_occupancy().is_none());
     }
 
     #[test]
-    fn cascade_and_legacy_filters_agree_everywhere() {
+    fn batch_path_filters_only_reads_the_certificate_cannot_decide() {
         let reference = genome();
-        let sim = ReadSimulator::new(SimConfig {
-            read_length: 150,
-            count: 16,
-            profile: ErrorProfile::illumina(),
-            seed: 21,
-            both_strands: true,
-            length_model: LengthModel::Uniform { min: 48, max: 180 },
-        });
-        let reads = sim.simulate(&reference);
-        let cascade = ReadMapper::build(&reference, MapperConfig::default());
-        let legacy = ReadMapper::build(
-            &reference,
-            MapperConfig {
-                filter_mode: FilterMode::Legacy,
-                ..MapperConfig::default()
-            },
-        );
-        for read in &reads {
-            let (want, lt) = legacy.map_read(&read.seq);
-            let (got, ct) = cascade.map_read(&read.seq);
-            assert_eq!(got, want, "modes disagree on a mapping");
-            assert_eq!(
-                ct.candidates, lt.candidates,
-                "modes disagree on examined/surviving candidates"
-            );
+        let mapper = ReadMapper::build(&reference, MapperConfig::default());
+        let engine = mapper.engine(1, DcDispatch::default());
+        // Exact reads: each best alignment is within the budget, so no
+        // filter row is issued.
+        let exact: Vec<&[u8]> = vec![&reference[100..250], &reference[5_000..5_150]];
+        let (mappings, timings) = mapper.map_batch_with_engine(&exact, &engine);
+        assert!(mappings.iter().all(Option::is_some));
+        assert_eq!(timings.filter_rows, (0, 0));
+        // A read whose best alignment overshoots the budget (30
+        // substitutions in its first 60 bases, k = 23): the filter
+        // decides for it, exactly as on the sequential path.
+        let mut noisy = reference[9_000..9_150].to_vec();
+        for i in (0..60).step_by(2) {
+            noisy[i] = if noisy[i] == b'A' { b'C' } else { b'A' };
         }
+        let (mappings, timings) = mapper.map_batch_with_engine(&[&noisy], &engine);
+        assert!(
+            timings.filter_rows.0 > 0,
+            "the fallback must run the filter"
+        );
+        assert_eq!(mappings[0], mapper.map_read(&noisy).0);
+        // An `N` inside a candidate window puts the read outside the
+        // certificate's domain, with the same outcome.
+        let mut with_n = reference.clone();
+        with_n[9_160] = b'N';
+        let mapper = ReadMapper::build(&with_n, MapperConfig::default());
+        let read = &with_n[9_000..9_150];
+        let (mappings, _) = mapper.map_batch_with_engine(&[read], &engine);
+        assert_eq!(mappings[0], mapper.map_read(read).0);
     }
 
     #[test]
@@ -1922,7 +1678,7 @@ mod tests {
         for (name, (begins, ends)) in &names {
             assert_eq!(begins, ends, "span {name} must balance");
         }
-        for required in ["seed_filter", "resolve", "traceback", "seed", "filter"] {
+        for required in ["seeding", "resolve", "traceback", "seed", "filter"] {
             assert!(names.contains_key(required), "missing {required} spans");
         }
 

@@ -71,84 +71,3 @@ proptest! {
         prop_assert_eq!(md_tag(&mapping, region), format!("MD:Z:{}", read.len()));
     }
 }
-
-/// Reverse complement for strand coverage in the cascade identity
-/// property (the mapper handles orientation internally; the test just
-/// needs reverse-strand reads in the input mix).
-fn revcomp(seq: &[u8]) -> Vec<u8> {
-    seq.iter()
-        .rev()
-        .map(|&b| match b {
-            b'A' => b'T',
-            b'C' => b'G',
-            b'G' => b'C',
-            _ => b'A',
-        })
-        .collect()
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(40))]
-
-    /// The escalating cascade and the legacy flat scan are the same
-    /// filter: identical mappings and identical candidate accept
-    /// counts for every read, across thresholds (error fractions),
-    /// read lengths on both sides of the 64-character word boundary,
-    /// and both strands.
-    #[test]
-    fn cascade_filter_is_identical_to_legacy(
-        reference in dna(1_500, 3_000),
-        seed in any::<u64>(),
-    ) {
-        use genasm_mapper::pipeline::FilterMode;
-        let mut state = seed | 1;
-        let mut next = move || {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            state
-        };
-        // Reads of alternating short (<64) and long (>64) lengths,
-        // alternating strands, each a mutated reference substring.
-        let mut reads = Vec::new();
-        for i in 0..8usize {
-            let len = if i % 2 == 0 { 44 + (next() % 20) as usize } else { 80 + (next() % 90) as usize };
-            let start = (next() as usize) % (reference.len() - len);
-            let mut read = reference[start..start + len].to_vec();
-            for _ in 0..(next() % 4) {
-                let pos = (next() as usize) % read.len();
-                read[pos] = b"ACGT"[(next() % 4) as usize];
-            }
-            if i % 2 == 1 {
-                read = revcomp(&read);
-            }
-            reads.push(read);
-        }
-        for error_fraction in [0.05, 0.15, 0.3] {
-            let cascade = ReadMapper::build(&reference, MapperConfig {
-                error_fraction,
-                filter_mode: FilterMode::Cascade,
-                ..MapperConfig::default()
-            });
-            let legacy = ReadMapper::build(&reference, MapperConfig {
-                error_fraction,
-                filter_mode: FilterMode::Legacy,
-                ..MapperConfig::default()
-            });
-            for (ridx, read) in reads.iter().enumerate() {
-                let (cm, ct) = cascade.map_read(read);
-                let (lm, lt) = legacy.map_read(read);
-                prop_assert_eq!(
-                    &cm, &lm,
-                    "read {} (len {}) at error fraction {}: mappings diverge",
-                    ridx, read.len(), error_fraction
-                );
-                prop_assert_eq!(
-                    ct.candidates, lt.candidates,
-                    "read {} (len {}) at error fraction {}: accept sets diverge",
-                    ridx, read.len(), error_fraction
-                );
-            }
-        }
-    }
-}

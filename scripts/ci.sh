@@ -1,29 +1,9 @@
 #!/usr/bin/env bash
 # Tier-1 verification for the GenASM reproduction workspace.
 #
-# Usage: scripts/ci.sh [--with-bench]
-#
-#   --with-bench   additionally run the engine throughput, dc_multi,
-#                  map_throughput, and serve_throughput benches at full
-#                  size, refreshing BENCH_engine.json,
-#                  BENCH_dc_multi.json, BENCH_map.json, and
-#                  BENCH_serve.json at the repo root.
+# Usage: scripts/ci.sh
 set -euo pipefail
 cd "$(dirname "$0")/.."
-
-# Fails when a committed bench artifact is missing a required field —
-# catches a bench edit that silently drops a tracked figure (e.g. the
-# lane-occupancy numbers the persistent-lane scheduler is judged by).
-check_bench_fields() {
-    local file="$1"
-    shift
-    [[ -f "$file" ]] || { echo "missing bench artifact $file" >&2; exit 1; }
-    local field
-    for field in "$@"; do
-        grep -q "\"$field\"" "$file" \
-            || { echo "$file: missing required field \"$field\"" >&2; exit 1; }
-    done
-}
 
 echo "==> cargo build --release"
 cargo build --release --workspace
@@ -104,44 +84,41 @@ target/release/genasm map --ref "$tracedir/t_ref.fa" --reads "$tracedir/t_reads.
     --strict --quiet >/dev/null 2>&1 || rc=$?
 [[ "$rc" -eq 4 ]] || { echo "strict parse failure exited $rc, want 4" >&2; exit 1; }
 
-echo "==> filter cascade A/B (map --filter-mode cascade vs legacy)"
-# Same input through both filter modes: the cascade is an exact
-# filter, not a heuristic, so the SAM must match byte for byte — and
-# the escalating tiers must issue at least 3x fewer filter recurrence
-# rows than the legacy flat scan on a uniform-genome workload (tier-0
-# kills collision candidates, accepts stop deepening at the resolving
-# distance instead of running to the threshold).
+echo "==> batch vs sequential oracle (map == map --pipeline sequential)"
+# The batch pipeline checks the edit budget after alignment and runs
+# the pre-alignment filter only for reads that check cannot decide;
+# the sequential reference path filters every candidate, then aligns
+# every survivor. Both must write the same SAM byte for byte (the @PG
+# line echoes the options, so it is left out). The Illumina set is
+# decided almost entirely by the budget check; the 15%-error PacBio
+# set has many reads whose best alignment overshoots the budget, so
+# the filter fallback runs.
 target/release/genasm simulate --genome-size 200000 --count 192 --length 150 \
     --seed 11 --out-prefix "$tracedir/ab" 2>/dev/null
-target/release/genasm map --ref "$tracedir/ab_ref.fa" --reads "$tracedir/ab_reads.fq" \
-    --filter-mode cascade --metrics json \
-    > "$tracedir/ab_cascade.sam" 2> "$tracedir/ab_cascade.json"
-target/release/genasm map --ref "$tracedir/ab_ref.fa" --reads "$tracedir/ab_reads.fq" \
-    --filter-mode legacy --metrics json \
-    > "$tracedir/ab_legacy.sam" 2> "$tracedir/ab_legacy.json"
-cmp -s "$tracedir/ab_cascade.sam" "$tracedir/ab_legacy.sam" \
-    || { echo "cascade and legacy SAM outputs differ" >&2; exit 1; }
-filter_rows() {
-    sed -n 's/.*"map.filter_rows_issued": \([0-9][0-9]*\).*/\1/p' "$1"
-}
-cascade_rows=$(filter_rows "$tracedir/ab_cascade.json")
-legacy_rows=$(filter_rows "$tracedir/ab_legacy.json")
-[[ -n "$cascade_rows" && -n "$legacy_rows" ]] \
-    || { echo "missing map.filter_rows_issued in metrics json" >&2; exit 1; }
-[[ "$legacy_rows" -ge $((3 * cascade_rows)) ]] \
-    || { echo "cascade must cut filter rows >=3x: legacy $legacy_rows vs cascade $cascade_rows" >&2; exit 1; }
-for field in map.filter.tier0_rejects map.filter.tier0_probes map.filter.tier1_rejects \
-             map.filter.cascade_accepts map.filter.cascade_fallbacks \
-             map.filter.bound_reuse_hits; do
-    grep -q "\"$field\"" "$tracedir/ab_cascade.json" \
-        || { echo "--metrics json: missing gauge \"$field\"" >&2; exit 1; }
+target/release/genasm simulate --genome-size 200000 --count 192 --length 150 \
+    --seed 11 --profile pacbio15 --out-prefix "$tracedir/pb" 2>/dev/null
+for set in ab pb; do
+    target/release/genasm map --ref "$tracedir/${set}_ref.fa" --reads "$tracedir/${set}_reads.fq" \
+        --quiet | grep -v '^@PG' > "$tracedir/${set}_batch.sam"
+    target/release/genasm map --ref "$tracedir/${set}_ref.fa" --reads "$tracedir/${set}_reads.fq" \
+        --pipeline sequential --quiet | grep -v '^@PG' > "$tracedir/${set}_sequential.sam"
+    cmp -s "$tracedir/${set}_batch.sam" "$tracedir/${set}_sequential.sam" \
+        || { echo "$set: batch and sequential SAM outputs differ" >&2; exit 1; }
 done
+# The filter modes are gone; a script still passing the flag must be
+# told (exit 2), not silently ignored like an unknown option.
+rc=0
+target/release/genasm map --ref "$tracedir/ab_ref.fa" --reads "$tracedir/ab_reads.fq" \
+    --filter-mode legacy --quiet > /dev/null 2> "$tracedir/removed_filter_mode.txt" || rc=$?
+[[ "$rc" -eq 2 ]] && grep -q 'filter-mode was removed' "$tracedir/removed_filter_mode.txt" \
+    || { echo "map --filter-mode: want exit 2 naming the removed flag, got $rc" >&2; exit 1; }
 
 echo "==> map --lanes identity smoke (lane width changes speed, never output)"
 # The same reads at every lock-step lane width, plus the tier-resolved
 # auto width, must produce byte-identical SAM (docs/KERNELS.md: width
 # decides who computes a row, never what it contains). Reuses the
-# cascade A/B inputs; the map.simd_level gauge must surface alongside.
+# Illumina oracle inputs; the map.simd_level gauge must surface
+# alongside.
 target/release/genasm map --ref "$tracedir/ab_ref.fa" --reads "$tracedir/ab_reads.fq" \
     --lanes 4 --quiet > "$tracedir/lanes4.sam"
 for width in 8 16 auto; do
@@ -183,51 +160,11 @@ target/release/genasm serve --ref "$tracedir/s_ref.fa" --batch-wait-ms 5 \
 [[ "$rc" -eq 2 ]] && grep -q 'timer is gone' "$tracedir/s_removed_flag.txt" \
     || { echo "serve --batch-wait-ms: want exit 2 naming the removed timer, got $rc" >&2; exit 1; }
 
-echo "==> cargo bench --bench dc_multi -- --smoke"
-cargo bench -p genasm-bench --bench dc_multi -- --smoke
-
-echo "==> cargo bench --bench map_throughput -- --smoke"
-cargo bench -p genasm-bench --bench map_throughput -- --smoke
-
-echo "==> cargo bench --bench serve_throughput -- --smoke"
-cargo bench -p genasm-bench --bench serve_throughput -- --smoke
-
-echo "==> bench artifact field check"
-check_bench_fields BENCH_engine.json \
-    pairs_per_sec workers tb_rows distance_secs simd_level \
-    jobs_prefilled distance_prefilled_secs \
-    job_latency_p50_us job_latency_p99_us chunk_latency_p50_us
-check_bench_fields BENCH_dc_multi.json \
-    kernel_full kernel_stream kernel_filter engine pairs_per_sec occupancy \
-    speedup_vs_chunked rows_issued rows_vs_flat filter_threshold \
-    tb_rows distance_secs job_latency_p50_us job_latency_p99_us \
-    simd_level simd_level_rank auto_lanes_full auto_lanes_distance \
-    kernel_fused_hit_test fused_scan_ops unfused_scan_ops scan_ops_vs_unfused \
-    per_claim_occupancy cross_claim_occupancy cross_claim
-check_bench_fields BENCH_map.json \
-    pipeline reads_per_sec occupancy seed_seconds filter_seconds align_seconds \
-    simd_level \
-    two_phase cascade tb_rows distance_secs traceback_secs \
-    candidates survivors reject_rate filter_rows_issued filter_rows_useful \
-    filter_occupancy tier0_rejects tier0_probes tier1_rejects cascade_accepts \
-    cascade_fallbacks bound_reuse_hits \
-    read_latency_p50_us read_latency_p99_us \
-    telemetry_off_reads_per_sec telemetry_on_reads_per_sec telemetry_overhead \
-    containment_off_reads_per_sec containment_on_reads_per_sec containment_overhead
-check_bench_fields BENCH_serve.json \
-    sustained_reads_per_sec request_latency_p50_us request_latency_p99_us \
-    overload_offered_reads overload_admitted_reads overload_shed_reads \
-    overload_shed_rate overload_responses_per_sec
-
-if [[ "${1:-}" == "--with-bench" ]]; then
-    echo "==> cargo bench --bench engine_throughput"
-    cargo bench -p genasm-bench --bench engine_throughput
-    echo "==> cargo bench --bench dc_multi (full)"
-    cargo bench -p genasm-bench --bench dc_multi
-    echo "==> cargo bench --bench map_throughput (full)"
-    cargo bench -p genasm-bench --bench map_throughput
-    echo "==> cargo bench --bench serve_throughput (full)"
-    cargo bench -p genasm-bench --bench serve_throughput
-fi
+echo "==> perfbench --smoke (the repo benchmark as the truth gate)"
+# All six benchmark workloads at 1/20 size. Each run checks its output
+# against independent truth: CIGARs that replay, simulated read
+# origins, exactly-once serve delivery, engine == scalar on a sample.
+# Any incorrect run exits non-zero.
+cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- --smoke
 
 echo "==> OK"
